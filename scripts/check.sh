@@ -99,27 +99,38 @@ PERSIM_SYNTH_EVENTS=150000 PERSIM_GOLDEN_DIR=tests/persistency/golden \
 ./build-tsan/tests/tso_test
 PERSIM_CONFORMANCE_GOLDEN=tests/conformance/golden/conformance_report.txt \
     ./build-tsan/tests/conformance_test
-# The router's global sequence counter is polled by real threads in
-# kv_txn_test's snapshot regression (acquire/release, no data race),
-# and the KV load driver fans shard generation, per-model replay of
-# the cross-shard txn mix, and both audit campaigns out over the
-# shared pool: run both instrumented.
+# kv_txn_test's snapshot regression polls the router's global
+# sequence counter from a host thread while the engine's simulated
+# threads (fibers on the test's own thread) mutate it
+# (acquire/release, no data race), and the KV load driver fans shard
+# generation, per-model replay of the cross-shard txn mix, and both
+# audit campaigns out over the shared pool: run both instrumented.
+# The engine annotates every fiber switch for TSan, so these also
+# check the fiber runtime's hand-offs.
 ./build-tsan/tests/kv_txn_test
 ./build-tsan/bench/kvstore_perf --check >/dev/null
 
 # AddressSanitizer + UBSan pass: the fault-injection machinery does a
 # lot of raw byte slicing (torn persists, checksummed record parsing,
 # degraded queue scans) — run it and the structure tests instrumented.
+# The engine runs simulated threads as fibers on guard-paged mmap
+# stacks and tells ASan about every switch: the engine suite (abort
+# unwinding, deep stacks, back-to-back engines), the TSO scheduler and
+# the explorer's engine-per-execution loop run instrumented too.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j \
-    --target faults_test fault_campaign_test recovery_test \
+    --target sim_test tso_test explore_test \
+    faults_test fault_campaign_test recovery_test \
     log_test queue_test queue_negative_test differential_fuzz_test \
     persist_race_test pruned_cuts_test \
     kvstore_test kv_recovery_test kv_campaign_test \
     kv_txn_test kv_router_fuzz_test kv_txn_campaign_test \
     compiled_trace_test trace_pack
+./build-asan/tests/sim_test
+./build-asan/tests/tso_test
+./build-asan/tests/explore_test
 ./build-asan/tests/faults_test
 ./build-asan/tests/fault_campaign_test
 ./build-asan/tests/recovery_test

@@ -18,19 +18,21 @@
  * need not be materialized.
  *
  * Interleaving is controlled by a SchedulingPolicy and is exactly
- * reproducible from the engine seed.
+ * reproducible from the engine seed. With more than one worker, each
+ * simulated thread is a fiber (a stackful user-mode context) on the
+ * OS thread that calls run(): the scheduler switches contexts only
+ * where the running thread's quantum ends, so no host
+ * synchronization is involved and the emitted order is the one the
+ * policy chose.
  */
 
 #ifndef PERSIM_SIM_ENGINE_HH
 #define PERSIM_SIM_ENGINE_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/rng.hh"
@@ -260,6 +262,8 @@ class ExecutionEngine
     ExecutionEngine(const EngineConfig &config, TraceSink *sink,
                     SchedulingPolicy *policy);
 
+    ~ExecutionEngine();
+
     ExecutionEngine(const ExecutionEngine &) = delete;
     ExecutionEngine &operator=(const ExecutionEngine &) = delete;
 
@@ -273,7 +277,8 @@ class ExecutionEngine
     /**
      * Run the workers to completion, one simulated thread each
      * (thread ids 0..N-1), then finish the sink. May be called once.
-     * Rethrows the first worker exception, if any.
+     * Every worker runs on the calling OS thread. Rethrows the first
+     * worker exception, if any.
      */
     void run(const std::vector<WorkerFn> &workers);
 
@@ -295,28 +300,34 @@ class ExecutionEngine
     /** Exception used to unwind workers when the engine aborts. */
     struct Aborted {};
 
-    struct ThreadSlot
-    {
-        std::condition_variable cv;
-        bool done = false;
-        std::exception_ptr error;
-    };
+    /** A saved execution context: the caller of run() or a fiber. */
+    struct Context;
+
+    struct ThreadSlot;
+
+    /** Entry point of every fiber (makecontext passes ints only). */
+    static void fiberEntry(unsigned engine_hi, unsigned engine_lo,
+                           unsigned tid);
+
+    /** Save the running context into @p from and resume @p to. */
+    void switchContext(Context &from, Context &to, bool leaving = false);
 
     /**
      * Acquire the right to execute one event on thread @p tid,
-     * blocking until the scheduler grants it. Under TSO, also ticks
-     * the thread's background store-buffer drain.
+     * switching to another fiber when the scheduler picks one. Under
+     * TSO, also ticks the thread's background store-buffer drain.
      */
     void schedulePoint(ThreadId tid);
 
-    /** Token-acquisition part of schedulePoint. */
+    /** Quantum and context-switch part of schedulePoint. */
     void schedulePointInner(ThreadId tid);
 
     /** Age the thread's store buffer; drain the oldest entry when the
         drain interval elapses. */
     void backgroundDrain(ThreadId tid);
 
-    /** Release the token when thread @p tid finishes or unwinds. */
+    /** Retire thread @p tid and pick the next one when it held the
+        token. */
     void finishThread(ThreadId tid);
 
     /** Build and emit an event (caller holds the token). */
@@ -348,6 +359,9 @@ class ExecutionEngine
     /** Body of one simulated thread. */
     void workerBody(ThreadId tid, const WorkerFn &fn);
 
+    /** Run the workers as fibers on the calling thread. */
+    void runFibers(const std::vector<WorkerFn> &workers);
+
     EngineConfig config_;
     TraceSink *sink_;
     MemoryImage image_;
@@ -361,12 +375,13 @@ class ExecutionEngine
     bool in_setup_ = false;
     bool serial_ = true;
 
-    std::mutex mutex_;
     ThreadId token_ = invalid_thread;
     std::uint64_t quantum_left_ = 0;
     bool aborting_ = false;
     std::vector<ThreadId> runnable_;
     std::vector<std::unique_ptr<ThreadSlot>> slots_;
+    const std::vector<WorkerFn> *workers_ = nullptr;
+    std::unique_ptr<Context> caller_;
     std::vector<std::deque<BufferedStore>> store_buffers_;
     std::vector<std::uint32_t> drain_ticks_;
 };
