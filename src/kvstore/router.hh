@@ -38,9 +38,13 @@
  *    a begin record, stages+applies every copied key into B (preserving
  *    (seq, value)), journals an end record ordered after the copies,
  *    barriers, flips the owner entry, barriers, then scrubs A's
- *    copies. A crash anywhere recovers to exactly one owner: the valid
- *    checksummed owner entry wins; an invalid entry falls back to the
- *    journal (end record durable -> B, else A).
+ *    copies. A crash anywhere recovers to exactly one owner, decided
+ *    by the group journal (end record durable -> B, else A); the
+ *    checksummed owner entry must agree or lag by the last flip, or
+ *    it counts as an owner fault. A later stay of p on B serves only
+ *    that migration's copies and writes after it: the begin/end
+ *    records carry the group seq watermark that separates them from
+ *    leftovers of an earlier stay.
  *
  * recoverKvRouter extends the per-shard recovery ladder with the
  * fourth tier (TxnResolve): committed transactions roll forward from
@@ -325,7 +329,9 @@ struct KvGroupRecovery
                                     //!< scrubbed (TxnResolve).
     std::uint64_t txn_lost = 0;     //!< Committed participants
                                     //!< unreadable.
-    std::uint64_t owner_faults = 0; //!< Invalid owner entries.
+    std::uint64_t owner_faults = 0; //!< Owner entries invalid or
+                                    //!< not explained by the group
+                                    //!< journal.
     std::uint64_t status_faults = 0;//!< Corrupt status words.
     std::uint64_t stale_copies = 0; //!< Entries filtered out by
                                     //!< ownership.

@@ -46,7 +46,7 @@ getWord(const std::vector<std::uint8_t> &payload, std::size_t off)
 } // namespace
 
 // Commit:        [kind][txn][seq][count] then count x [shard][lsn].
-// Migrate begin/end: [kind][txn][partition][from][to][moved_keys].
+// Migrate begin/end: [kind][txn][partition][from][to][moved_keys][seq].
 std::vector<std::uint8_t>
 KvTxnRecord::encode() const
 {
@@ -63,13 +63,14 @@ KvTxnRecord::encode() const
         }
         return payload;
     }
-    std::vector<std::uint8_t> payload(48);
+    std::vector<std::uint8_t> payload(migrate_bytes);
     putWord(payload, 0, kind);
     putWord(payload, 8, txn);
     putWord(payload, 16, partition);
     putWord(payload, 24, from_shard);
     putWord(payload, 32, to_shard);
     putWord(payload, 40, moved_keys);
+    putWord(payload, 48, seq);
     return payload;
 }
 
@@ -100,12 +101,13 @@ KvTxnRecord::decode(const std::vector<std::uint8_t> &payload,
     if (record.kind != kind_migrate_begin &&
         record.kind != kind_migrate_end)
         return false;
-    if (payload.size() != 48)
+    if (payload.size() != migrate_bytes)
         return false;
     record.partition = getWord(payload, 16);
     record.from_shard = getWord(payload, 24);
     record.to_shard = getWord(payload, 32);
     record.moved_keys = getWord(payload, 40);
+    record.seq = getWord(payload, 48);
     return record.from_shard != record.to_shard;
 }
 

@@ -55,9 +55,17 @@ struct KvTxnRecord
     static constexpr std::uint64_t kind_migrate_begin = 4;
     static constexpr std::uint64_t kind_migrate_end = 5;
 
+    /** Payload size of a migration begin/end record. */
+    static constexpr std::uint64_t migrate_bytes = 56;
+
     std::uint64_t kind = 0;
     std::uint64_t txn = 0; //!< Transaction or migration id (nonzero).
-    std::uint64_t seq = 0; //!< Commit seq (0 for migration records).
+    /**
+     * Commit seq. In migration records, the group seq counter as the
+     * migration ran: every later write to the partition draws a seq at
+     * or above it, every earlier one below it.
+     */
+    std::uint64_t seq = 0;
 
     /** Participants, in staging order (commit records only). */
     std::vector<KvTxnParticipant> participants;

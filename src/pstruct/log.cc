@@ -176,7 +176,9 @@ PersistentLog::recover(const MemoryImage &image, const LogLayout &layout)
     std::uint64_t pos = 0;
     while (pos + LogLayout::recordBytes(1) <= layout.capacity) {
         const std::uint64_t len = image.load(layout.base + pos, 8);
-        if (len == 0 ||
+        // len > capacity first: recordBytes wraps for a corrupt len
+        // near 2^64.
+        if (len == 0 || len > layout.capacity ||
             pos + LogLayout::recordBytes(len) > layout.capacity)
             break;
         const std::uint64_t seq = image.load(layout.base + pos + 8, 8);
@@ -207,7 +209,7 @@ PersistentLog::recordDurableAt(const MemoryImage &image,
     if (offset + LogLayout::recordBytes(1) > layout.capacity)
         return false;
     const std::uint64_t len = image.load(layout.base + offset, 8);
-    if (len == 0 ||
+    if (len == 0 || len > layout.capacity ||
         offset + LogLayout::recordBytes(len) > layout.capacity)
         return false;
     if (image.load(layout.base + offset + 8, 8) != seq)
@@ -229,7 +231,7 @@ PersistentLog::recordAt(const MemoryImage &image,
         offset + LogLayout::recordBytes(1) > layout.capacity)
         return false;
     const std::uint64_t len = image.load(layout.base + offset, 8);
-    if (len == 0 ||
+    if (len == 0 || len > layout.capacity ||
         offset + LogLayout::recordBytes(len) > layout.capacity)
         return false;
     const std::uint64_t seq = image.load(layout.base + offset + 8, 8);

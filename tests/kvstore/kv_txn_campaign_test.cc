@@ -100,8 +100,9 @@ TEST(KvTxnCampaign, TxnResolveAbsorbsEveryFaultMixOnEveryStrategy)
             const KvRouterWorkloadResult workload = runKvRouterWorkload(
                 campaignWorkload(strategy, migrate));
             ASSERT_GT(workload.txns_committed, 0u);
-            if (migrate)
+            if (migrate) {
                 ASSERT_GT(workload.migrations, 0u);
+            }
             for (int mix = 0; mix < 5; ++mix) {
                 FaultCampaignConfig campaign;
                 campaign.injection.model = ModelConfig::strand();
@@ -126,6 +127,50 @@ TEST(KvTxnCampaign, TxnResolveAbsorbsEveryFaultMixOnEveryStrategy)
                 EXPECT_GT(result.samples, 0u);
                 EXPECT_EQ(stats->shard.images.load(), result.samples);
             }
+        }
+    }
+}
+
+TEST(KvTxnCampaign, PartitionsMigratingBackRecoverCommittedTxns)
+{
+    // The `kvstore_perf --check --seed=17` txn audit: partitions that
+    // migrate away and back while their keys are rewritten and erased
+    // elsewhere, swept by the full fault mix under every model. Stale
+    // staged records left in a shard journal by an earlier stay used
+    // to resurrect old versions ("committed txn ... partially applied:
+    // key ... stuck at seq ...") even with no device fault.
+    for (KvUpdateStrategy strategy :
+         {KvUpdateStrategy::InPlace, KvUpdateStrategy::Cow,
+          KvUpdateStrategy::LogStructured}) {
+        KvRouterWorkloadConfig config = campaignWorkload(strategy, true);
+        config.router.store.buckets = 256;
+        config.router.store.heap_bytes = 1 << 16;
+        config.router.store.log_capacity = 1 << 18;
+        config.ops_per_thread = 48;
+        config.key_space = 48;
+        config.migrate_every = 12;
+        config.seed = 22;
+        const KvRouterWorkloadResult workload =
+            runKvRouterWorkload(config);
+        ASSERT_GT(workload.migrations, 1u);
+        for (const ModelConfig &model :
+             {ModelConfig::strict(), ModelConfig::epoch(),
+              ModelConfig::strand(), ModelConfig::px86()}) {
+            FaultCampaignConfig campaign;
+            campaign.injection.model = model;
+            campaign.injection.realizations = 3;
+            campaign.injection.crashes_per_realization = 16;
+            campaign.injection.seed = 194;
+            campaign.faults = faultMix(4);
+            campaign.faults.media_error_per_write = 2e-4;
+            const InjectionResult result = runFaultCampaign(
+                workload.trace, campaign,
+                makeKvRouterInvariant(workload.layout, workload.golden,
+                                      workload.txn_golden,
+                                      resolveOptions()));
+            EXPECT_TRUE(result.ok())
+                << kvUpdateStrategyName(strategy) << "/"
+                << model.name() << ": " << result.first_violation;
         }
     }
 }
@@ -215,8 +260,9 @@ TEST(KvTxnCampaign, ViolationsReplayFromTheirReproLines)
         const std::string verdict = replayFaultRepro(
             workload.trace, campaign, repro, invariant, &outcome);
         EXPECT_EQ(verdict, violation.verdict) << line;
-        if (!violation.fault_summary.empty())
+        if (!violation.fault_summary.empty()) {
             EXPECT_EQ(outcome.summary(), violation.fault_summary);
+        }
     }
 }
 

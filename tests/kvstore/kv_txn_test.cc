@@ -5,8 +5,8 @@
  * snapshots, crash-consistent migration, the TxnResolve recovery
  * tier on clean images, txn-record codec negatives, and the
  * host-visible publication counter (a TSan regression test: the
- * counter is polled from an ordinary OS thread while engine workers
- * mutate).
+ * counter is polled from an ordinary OS thread while the engine's
+ * simulated threads mutate).
  */
 
 #include <gtest/gtest.h>
@@ -164,6 +164,47 @@ TEST_P(KvTxnStrategies, TxnResolveRecoversCleanImageExactly)
     EXPECT_EQ(invariant(image), "");
 }
 
+TEST_P(KvTxnStrategies, MigrationRoundTripDoesNotResurrectErasedKeys)
+{
+    // A key written on its home shard, moved away, erased there, and
+    // its partition moved back empty: the home shard's journal still
+    // holds the old staged record, which recovery must not replay.
+    ExecutionEngine engine(EngineConfig{});
+    auto router = std::make_shared<KvRouter>();
+    engine.runSetup([&](ThreadCtx &ctx) {
+        *router = KvRouter::create(ctx, smallRouter(GetParam()), 1);
+    });
+    const std::uint64_t key = 21;
+    const auto partition = static_cast<std::uint32_t>(
+        KvRouterLayout::partitionOf(key, router->layout().partitions));
+    engine.run({[&](ThreadCtx &ctx) {
+        const std::uint32_t home = router->shardOf(ctx, key);
+        const std::uint8_t v[4] = {1, 2, 3, 4};
+        KvTxn txn;
+        txn.put(key, v, sizeof(v));
+        ASSERT_EQ(router->commit(ctx, 0, txn), KvTxnStatus::Committed);
+        ASSERT_EQ(router->migrate(ctx, 0, partition, 1 - home),
+                  KvMigrateStatus::Ok);
+        ASSERT_EQ(router->erase(ctx, 0, key), KvStatus::Ok);
+        ASSERT_EQ(router->migrate(ctx, 0, partition, home),
+                  KvMigrateStatus::Ok);
+        std::vector<std::uint8_t> value;
+        EXPECT_FALSE(router->get(ctx, key, value));
+    }});
+
+    for (const KvRecoveryMode mode :
+         {KvRecoveryMode::Repair, KvRecoveryMode::TxnResolve}) {
+        KvGroupRecoveryOptions options;
+        options.mode = mode;
+        const KvGroupRecovery rec =
+            recoverKvRouter(engine.memory(), router->layout(), options);
+        EXPECT_EQ(rec.entries.count(key), 0u)
+            << "erased key resurrected at seq "
+            << rec.entries.at(key).seq;
+        EXPECT_EQ(rec.owner_faults, 0u);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Strategies, KvTxnStrategies,
     ::testing::Values(KvUpdateStrategy::InPlace, KvUpdateStrategy::Cow,
@@ -295,12 +336,57 @@ TEST(KvTxn, MigrationMovesOwnershipAndKeys)
     }});
 }
 
+TEST(KvTxn, OwnerFlipWithoutItsEndRecordIsDetected)
+{
+    // Device faults can drop the migration's end record while the
+    // owner flip that follows it lands: a checksum-valid owner entry
+    // the group journal does not explain is damage, not authority.
+    ExecutionEngine engine(EngineConfig{});
+    auto router = std::make_shared<KvRouter>();
+    engine.runSetup([&](ThreadCtx &ctx) {
+        *router = KvRouter::create(
+            ctx, smallRouter(KvUpdateStrategy::InPlace), 1);
+    });
+    const std::uint64_t key = 21;
+    const auto partition = static_cast<std::uint32_t>(
+        KvRouterLayout::partitionOf(key, router->layout().partitions));
+    std::uint32_t home = 0;
+    engine.run({[&](ThreadCtx &ctx) {
+        home = router->shardOf(ctx, key);
+        const std::uint8_t v[4] = {1, 2, 3, 4};
+        KvTxn txn;
+        txn.put(key, v, sizeof(v));
+        ASSERT_EQ(router->commit(ctx, 0, txn), KvTxnStatus::Committed);
+        ASSERT_EQ(router->migrate(ctx, 0, partition, 1 - home),
+                  KvMigrateStatus::Ok);
+    }});
+
+    // Break the header of the last group-journal record (the end
+    // record): the scan truncates there.
+    const KvRouterLayout &layout = router->layout();
+    MemoryImage image = engine.memory().clone();
+    const LogRecovery group =
+        PersistentLog::recover(image, layout.group_journal);
+    ASSERT_FALSE(group.records.empty());
+    const Addr end_record =
+        layout.group_journal.base + group.records.back().offset;
+    image.store(end_record, 8, ~image.load(end_record, 8));
+
+    KvGroupRecoveryOptions options;
+    options.mode = KvRecoveryMode::TxnResolve;
+    const KvGroupRecovery rec = recoverKvRouter(image, layout, options);
+    EXPECT_EQ(rec.owner_faults, 1u);
+    EXPECT_EQ(rec.owners[partition], home);
+    EXPECT_TRUE(rec.anyTxnFaults());
+}
+
 TEST(KvTxn, PublishedSeqIsSafeToPollFromAnotherThread)
 {
     // Regression test for the global seq counter being read
     // non-atomically by snapshot readers: publishedSeq() must be an
     // acquire load pairing with the writers' release increments, so
-    // an ordinary OS thread can poll it while engine workers mutate.
+    // an ordinary OS thread can poll it while the engine's simulated
+    // threads (fibers on this test's thread) mutate.
     // Run this under TSan to make the check real.
     ExecutionEngine engine(EngineConfig{});
     auto router = std::make_shared<KvRouter>();
@@ -382,10 +468,12 @@ TEST(KvTxn, RecordCodecRejectsMalformedPayloads)
     migrate.from_shard = 0;
     migrate.to_shard = 2;
     migrate.moved_keys = 5;
+    migrate.seq = 31;
     const std::vector<std::uint8_t> mig_payload = migrate.encode();
     ASSERT_TRUE(KvTxnRecord::decode(mig_payload, decoded));
     EXPECT_EQ(decoded.to_shard, 2u);
     EXPECT_EQ(decoded.moved_keys, 5u);
+    EXPECT_EQ(decoded.seq, 31u);
     bad = mig_payload;
     bad[0] = 77; // Unknown kind.
     EXPECT_FALSE(KvTxnRecord::decode(bad, decoded));
@@ -393,7 +481,7 @@ TEST(KvTxn, RecordCodecRejectsMalformedPayloads)
     bad[24] = 2; // from == to.
     EXPECT_FALSE(KvTxnRecord::decode(bad, decoded));
     bad = mig_payload;
-    bad.push_back(0); // Migrate records are exactly 48 bytes.
+    bad.push_back(0); // Migrate records are exactly 56 bytes.
     EXPECT_FALSE(KvTxnRecord::decode(bad, decoded));
 }
 

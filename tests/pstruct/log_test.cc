@@ -80,6 +80,37 @@ TEST(Log, RecoverStopsAtCorruption)
     EXPECT_EQ(recovered.valid_bytes, third_offset);
 }
 
+TEST(Log, RecoverStopsAtAWrappingLength)
+{
+    // A length word near 2^64 wraps the record-size bounds check; the
+    // scan must stop there instead of sizing a buffer from it.
+    ExecutionEngine engine(EngineConfig{}, nullptr);
+    auto log = std::make_shared<PersistentLog>();
+    engine.runSetup([&log](ThreadCtx &ctx) {
+        *log = PersistentLog::create(ctx, {.capacity = 4096}, 1);
+    });
+    std::uint64_t second_offset = 0;
+    engine.run({[log, &second_offset](ThreadCtx &ctx) {
+        for (std::uint64_t id = 1; id <= 3; ++id) {
+            const auto payload = bytesFor(id, 24);
+            const auto offset =
+                log->append(ctx, 0, payload.data(), payload.size());
+            if (id == 2)
+                second_offset = offset;
+        }
+    }});
+
+    MemoryImage image = engine.memory().clone();
+    const Addr len_word = log->layout().base + second_offset;
+    image.store(len_word, 8, ~std::uint64_t{7});
+    RecoveredRecord record;
+    EXPECT_FALSE(PersistentLog::recordAt(image, log->layout(),
+                                         second_offset, record));
+    const auto recovered = PersistentLog::recover(image, log->layout());
+    EXPECT_EQ(recovered.records.size(), 1u);
+    EXPECT_EQ(recovered.valid_bytes, second_offset);
+}
+
 TEST(Log, StalePositionNeverValidates)
 {
     // Bytes copied from one log offset to another must not validate:
