@@ -20,6 +20,7 @@
 
 #include "bench_util/bench_report.hh"
 #include "bench_util/queue_workload.hh"
+#include "bench_util/table.hh"
 #include "common/task_pool.hh"
 #include "persistency/compiled_replay.hh"
 #include "persistency/segment_replay.hh"
@@ -244,18 +245,6 @@ class Stopwatch
     std::chrono::steady_clock::time_point start_;
 };
 
-/** "12.3 M" style count formatting for events/sec reporting. */
-inline std::string
-formatEventsPerSec(std::uint64_t events, double seconds)
-{
-    if (seconds <= 0.0)
-        return "-";
-    const double rate = static_cast<double>(events) / seconds;
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%.2f M/s", rate / 1e6);
-    return buffer;
-}
-
 /**
  * One-line analysis summary quoted by EXPERIMENTS.md: total configs,
  * events consumed across all analyses, wall time, aggregate events/s,
@@ -268,7 +257,7 @@ reportAnalysisWall(std::size_t configs, std::uint64_t events_analyzed,
     std::cout << "analysis: " << configs << " configs, "
               << events_analyzed << " events analyzed in "
               << wall_seconds << " s wall ("
-              << formatEventsPerSec(events_analyzed, wall_seconds)
+              << formatRate(events_analyzed, wall_seconds)
               << ", --jobs=" << effectiveJobs(jobs) << ")\n";
 }
 

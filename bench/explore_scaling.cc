@@ -20,6 +20,12 @@
  * --check it exits nonzero unless pruning completes a program at
  * least 5x larger than blind enumeration — the acceptance gate
  * scripts/check.sh runs.
+ *
+ * It then times the explorer's schedule loop on the 2-thread CWL and
+ * 2LC queue programs (default budget, one shard), where every
+ * execution builds a fresh multi-threaded engine: rows
+ * explore/executions/<queue>, events = executions run, so
+ * events_per_sec is executions/s.
  */
 
 #include <cstdint>
@@ -33,6 +39,7 @@
 #include "bench_util/table.hh"
 #include "common/error.hh"
 #include "explore/explore.hh"
+#include "explore/programs.hh"
 
 using namespace persim;
 using namespace persim::bench;
@@ -196,6 +203,33 @@ main(int argc, char **argv)
                    blind.max_cells, 0.0);
         report.add("explore/pruned/max_scratch_cells",
                    pruned.max_cells, 0.0);
+
+        TextTable rate;
+        rate.header({"queue", "executions", "cuts", "wall(s)",
+                     "executions/s"});
+        for (const QueueKind kind :
+             {QueueKind::CopyWhileLocked, QueueKind::TwoLockConcurrent}) {
+            QueueExploreOptions options;
+            options.kind = kind;
+            ExploreConfig config;
+            config.model = queueExploreModel();
+            Explorer explorer(queueProgram(options), config);
+            Stopwatch watch;
+            const ExploreResult result = explorer.run();
+            const double wall = watch.seconds();
+            const std::uint64_t executions =
+                result.executions + result.sampled_executions;
+            rate.row({queueKindName(kind), std::to_string(executions),
+                      std::to_string(result.cuts_checked),
+                      formatDouble(wall, 4),
+                      formatRate(executions, wall)});
+            report.add(std::string("explore/executions/") +
+                           queueKindName(kind),
+                       executions, wall);
+        }
+        std::cout << "\nexplorer schedule loop (2 threads, one engine "
+                     "per execution):\n"
+                  << rate.render();
         if (!json_path.empty()) {
             report.writeJson(json_path);
             std::cout << "bench report: " << report.size()

@@ -137,7 +137,7 @@ main(int argc, char **argv)
         events_analyzed += entry.events;
         timing.row({entry.name, std::to_string(entry.events),
                     formatDouble(entry.wall_seconds, 4),
-                    formatEventsPerSec(entry.events,
+                    formatRate(entry.events,
                                        entry.wall_seconds)});
         report.add(std::string("fig3/") + entry.name + "/replay",
                    entry.events, entry.wall_seconds);

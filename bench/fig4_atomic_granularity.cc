@@ -112,7 +112,7 @@ main(int argc, char **argv)
             timing.row({entry.model.name(),
                         std::to_string(point.value),
                         formatDouble(point.wall_seconds, 4),
-                        formatEventsPerSec(point.result.events,
+                        formatRate(point.result.events,
                                            point.wall_seconds)});
             report.add("fig4/" + entry.model.name() + "/a" +
                            std::to_string(point.value),

@@ -105,7 +105,7 @@ main(int argc, char **argv)
             timing.row({entry.model.name(),
                         std::to_string(point.value),
                         formatDouble(point.wall_seconds, 4),
-                        formatEventsPerSec(point.result.events,
+                        formatRate(point.result.events,
                                            point.wall_seconds)});
             report.add("fig5/" + entry.model.name() + "/t" +
                            std::to_string(point.value),

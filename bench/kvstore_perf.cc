@@ -386,7 +386,7 @@ main(int argc, char **argv)
                         std::to_string(total_ops),
                         std::to_string(total_rejected),
                         formatDouble(generate_wall, 3),
-                        formatEventsPerSec(total_ops, generate_wall)});
+                        formatRate(total_ops, generate_wall)});
         report.add(std::string("kvstore/") + strategy.name +
                        "/generate",
                    total_events, generate_wall);
@@ -442,7 +442,7 @@ main(int argc, char **argv)
             replay.row({strategy.name, model.name,
                         std::to_string(total_events),
                         formatDouble(replay_wall, 3),
-                        formatEventsPerSec(total_events, replay_wall),
+                        formatRate(total_events, replay_wall),
                         formatDouble(critical_path, 1),
                         std::to_string(persists)});
             report.add(std::string("kvstore/") + strategy.name + "/" +
@@ -520,7 +520,7 @@ main(int argc, char **argv)
              std::to_string(txn_run.migrations),
              std::to_string(txn_rejected),
              formatDouble(txn_wall, 3),
-             formatEventsPerSec(txn_total_ops, txn_wall)});
+             formatRate(txn_total_ops, txn_wall)});
         report.add(std::string("kvstore/txn_") + strategy.name +
                        "/generate",
                    txn_run.trace.size(), txn_wall);
@@ -583,7 +583,7 @@ main(int argc, char **argv)
             txn_replay.row({strategy.name, model.name,
                             std::to_string(txn_run.trace.size()),
                             formatDouble(txn_replay_wall, 3),
-                            formatEventsPerSec(txn_run.trace.size(),
+                            formatRate(txn_run.trace.size(),
                                                txn_replay_wall),
                             formatDouble(result.critical_path, 1),
                             std::to_string(result.persists)});

@@ -182,7 +182,7 @@ main(int argc, char **argv)
             const double wall = timedReplay(events, count, timing);
             table.row({entry.name, model.name, "serial",
                        std::to_string(count), formatDouble(wall, 4),
-                       formatEventsPerSec(count, wall)});
+                       formatRate(count, wall)});
             report.add("replay/" + entry.name + "/" + model.name,
                        count, wall);
             {
@@ -196,7 +196,7 @@ main(int argc, char **argv)
                 table.row({entry.name, model.name, "compiled",
                            std::to_string(count),
                            formatDouble(cwall, 4),
-                           formatEventsPerSec(count, cwall)});
+                           formatRate(count, cwall)});
                 report.add("replay/" + entry.name + "/" + model.name +
                                "/compiled",
                            count, cwall);
@@ -210,7 +210,7 @@ main(int argc, char **argv)
                 table.row({entry.name, model.name, label,
                            std::to_string(count),
                            formatDouble(pwall, 4),
-                           formatEventsPerSec(count, pwall)});
+                           formatRate(count, pwall)});
                 report.add("replay/" + entry.name + "/" + model.name +
                                "/" + label,
                            count, pwall);

@@ -196,7 +196,7 @@ main(int argc, char **argv)
                     variants[cell.variant].name,
                     std::to_string(cell.events),
                     formatDouble(cell.wall_seconds, 4),
-                    formatEventsPerSec(cell.events, cell.wall_seconds)});
+                    formatRate(cell.events, cell.wall_seconds)});
         const std::string queue =
             cell.kind == QueueKind::CopyWhileLocked ? "cwl" : "2lc";
         report.add("table1/" + queue + "/" +

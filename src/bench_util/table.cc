@@ -76,4 +76,10 @@ formatRate(double per_second)
     return oss.str();
 }
 
+std::string
+formatRate(double count, double seconds)
+{
+    return seconds > 0.0 ? formatRate(count / seconds) : "-";
+}
+
 } // namespace persim

@@ -32,8 +32,12 @@ class TextTable
 /** Format a double with @p digits significant decimal places. */
 std::string formatDouble(double value, int digits = 3);
 
-/** Format a rate as "X.XX M/s" style. */
+/** Format a rate as "X.XXX M/s" style (K/s and /s below a million). */
 std::string formatRate(double per_second);
+
+/** Format @p count per @p seconds as formatRate does; "-" when no time
+    was measured. */
+std::string formatRate(double count, double seconds);
 
 } // namespace persim
 

@@ -58,7 +58,6 @@
 #include "common/arena.hh"
 #include "common/flat_map.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "memtrace/sink.hh"
 #include "persistency/model.hh"
 #include "persistency/persist_log.hh"
@@ -157,7 +156,7 @@ struct TimingConfig
      * plugins must outlive the engine. An empty list costs one
      * untaken branch per hook site.
      */
-    std::vector<AnalysisPlugin *> plugins;
+    std::vector<AnalysisPlugin *> plugins{};
 };
 
 /** Aggregate results of one timing analysis. */

@@ -116,6 +116,8 @@ TEST(Table, Formatting)
     EXPECT_EQ(formatRate(2.5e6), "2.500 M/s");
     EXPECT_EQ(formatRate(2.5e3), "2.500 K/s");
     EXPECT_EQ(formatRate(12.0), "12.000 /s");
+    EXPECT_EQ(formatRate(5000.0, 2.0), "2.500 K/s");
+    EXPECT_EQ(formatRate(5000.0, 0.0), "-");
 }
 
 TEST(Workload, VariantNamesAndTable1Set)

@@ -418,12 +418,14 @@ TEST(KvRecovery, BitFlipFuzzer)
                 by_cause += recovery.faultCount(
                     static_cast<BucketFaultKind>(k));
             EXPECT_EQ(by_cause, recovery.faults.size());
-            if (mode == KvRecoveryMode::Strict)
+            if (mode == KvRecoveryMode::Strict) {
                 EXPECT_EQ(recovery.ok, recovery.faults.empty());
-            else
+            } else {
                 EXPECT_TRUE(recovery.ok);
-            if (mode != KvRecoveryMode::Repair)
+            }
+            if (mode != KvRecoveryMode::Repair) {
                 EXPECT_EQ(recovery.repaired, 0u);
+            }
         }
         // The campaign-facing invariant agrees: no silent corruption.
         EXPECT_EQ(invariant(image), "") << "trial " << trial;

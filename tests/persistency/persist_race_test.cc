@@ -275,8 +275,9 @@ TEST(PersistRace, NoFalsePositivesOnCleanFixtures)
         config.model = ModelConfig::epoch();
         const Observed seen = observe(trace, config);
         EXPECT_EQ(seen.unordered, seen.engine_races) << name;
-        if (seen.engine_races == 0)
+        if (seen.engine_races == 0) {
             EXPECT_EQ(seen.unordered, 0u) << name;
+        }
     }
 }
 
