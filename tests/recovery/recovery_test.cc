@@ -326,30 +326,29 @@ TEST_P(QueueInjection, AnnotationsSufficeForRecovery)
         << param.name << ": " << result.first_violation;
 }
 
+// gtest names each case after the raw bytes of its parameter, padding
+// included. A static array is zero-initialized before its values are
+// set, so the padding bytes (and hence the test names) do not depend
+// on whatever the stack held during static initialization.
+const QueueInjectionCase kQueueInjectionCases[] = {
+    {QueueKind::CopyWhileLocked, AnnotationVariant::Conservative,
+     ModelConfig::strict(), "cwl_strict"},
+    {QueueKind::CopyWhileLocked, AnnotationVariant::Conservative,
+     ModelConfig::epoch(), "cwl_epoch"},
+    {QueueKind::CopyWhileLocked, AnnotationVariant::Racing,
+     ModelConfig::epoch(), "cwl_racing"},
+    {QueueKind::CopyWhileLocked, AnnotationVariant::Strand,
+     ModelConfig::strand(), "cwl_strand"},
+    {QueueKind::TwoLockConcurrent, AnnotationVariant::Racing,
+     ModelConfig::epoch(), "tlc_epoch"},
+    {QueueKind::TwoLockConcurrent, AnnotationVariant::Strand,
+     ModelConfig::strand(), "tlc_strand"},
+    {QueueKind::TwoLockConcurrent, AnnotationVariant::Racing,
+     ModelConfig::strict(), "tlc_strict"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Models, QueueInjection,
-    ::testing::Values(
-        QueueInjectionCase{QueueKind::CopyWhileLocked,
-                           AnnotationVariant::Conservative,
-                           ModelConfig::strict(), "cwl_strict"},
-        QueueInjectionCase{QueueKind::CopyWhileLocked,
-                           AnnotationVariant::Conservative,
-                           ModelConfig::epoch(), "cwl_epoch"},
-        QueueInjectionCase{QueueKind::CopyWhileLocked,
-                           AnnotationVariant::Racing,
-                           ModelConfig::epoch(), "cwl_racing"},
-        QueueInjectionCase{QueueKind::CopyWhileLocked,
-                           AnnotationVariant::Strand,
-                           ModelConfig::strand(), "cwl_strand"},
-        QueueInjectionCase{QueueKind::TwoLockConcurrent,
-                           AnnotationVariant::Racing,
-                           ModelConfig::epoch(), "tlc_epoch"},
-        QueueInjectionCase{QueueKind::TwoLockConcurrent,
-                           AnnotationVariant::Strand,
-                           ModelConfig::strand(), "tlc_strand"},
-        QueueInjectionCase{QueueKind::TwoLockConcurrent,
-                           AnnotationVariant::Racing,
-                           ModelConfig::strict(), "tlc_strict"}),
+    Models, QueueInjection, ::testing::ValuesIn(kQueueInjectionCases),
     [](const ::testing::TestParamInfo<QueueInjectionCase> &info) {
         return info.param.name;
     });
