@@ -35,6 +35,12 @@
  *
  * Every violation prints a one-line repro; re-run with
  * --replay="<line>" to re-evaluate exactly that crash state.
+ *
+ * --json=PATH writes one BenchReport row per surface x mix
+ * ("campaign/<surface>/<mix>"): crash states checked as the count,
+ * the campaign's wall time, and crash states per second. The
+ * committed BENCH_campaign.json is such a run (see EXPERIMENTS.md for
+ * its host).
  */
 
 #include <cstdio>
@@ -44,6 +50,7 @@
 #include <vector>
 
 #include "bench/bench_common.hh"
+#include "bench_util/bench_report.hh"
 #include "bench_util/kv_workload.hh"
 #include "bench_util/table.hh"
 #include "kvstore/recovery.hh"
@@ -356,6 +363,7 @@ main(int argc, char **argv)
 {
     std::uint32_t jobs = 1;
     std::string replay_line;
+    std::string json_path;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--jobs=", 0) == 0) {
@@ -363,9 +371,12 @@ main(int argc, char **argv)
                 std::stoul(arg.substr(7)));
         } else if (arg.rfind("--replay=", 0) == 0) {
             replay_line = arg.substr(9);
+        } else if (arg.rfind("--json=", 0) == 0) {
+            json_path = arg.substr(7);
         } else {
             std::cerr << "usage: " << argv[0]
-                      << " [--jobs=N] [--replay=\"<repro line>\"]\n";
+                      << " [--jobs=N] [--replay=\"<repro line>\"]"
+                      << " [--json=PATH]\n";
             return 2;
         }
     }
@@ -406,6 +417,7 @@ main(int argc, char **argv)
            "buffers break the observer's perfect-device assumption");
 
     Stopwatch watch;
+    BenchReport report;
     std::uint64_t total_samples = 0;
     TextTable table;
     table.header({"surface", "model", "faults", "samples",
@@ -424,8 +436,11 @@ main(int argc, char **argv)
                 kv_stats ? kv_stats->quarantined.load() : 0;
             const std::uint64_t repaired_before =
                 kv_stats ? kv_stats->repaired.load() : 0;
+            Stopwatch campaign_watch;
             const InjectionResult result = runFaultCampaign(
                 surface.trace, config, surface.invariant);
+            report.add("campaign/" + surface.name + "/" + mix.name,
+                       result.samples, campaign_watch.seconds());
             total_samples += result.samples;
             char rate[32];
             std::snprintf(rate, sizeof(rate), "%.1f%%",
@@ -485,5 +500,10 @@ main(int argc, char **argv)
     std::cout << "\ncampaign: " << total_samples << " crash states in "
               << watch.seconds() << " s wall (--jobs="
               << effectiveJobs(jobs) << ")\n";
+    if (!json_path.empty()) {
+        report.writeJson(json_path);
+        std::cout << "wrote " << report.size() << " samples -> "
+                  << json_path << "\n";
+    }
     return 0;
 }

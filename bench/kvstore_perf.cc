@@ -236,7 +236,11 @@ txnConfig(const DriverOptions &options, KvUpdateStrategy strategy)
     config.snapshot_ratio = 0.1;
     config.put_ratio = 0.35;
     config.get_ratio = 0.2; // Erase gets the remaining 0.15.
-    config.migrate_every = 64;
+    // Thread 0 attempts a migration every migrate_every ops, and with
+    // two shards half the attempts target the current owner (a no-op).
+    // --check needs a nonzero move count from one short run: 32
+    // attempts leave P(no move) ~ 2^-32 rather than 8 attempts' 2^-8.
+    config.migrate_every = options.check ? 16 : 64;
     config.min_value_bytes = 8;
     config.max_value_bytes = 48;
     config.seed = mixSeed(options.seed, 0x7472);

@@ -1,6 +1,7 @@
 #include "nvram/drain_sim.hh"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
@@ -83,25 +84,36 @@ simulateDrain(const DrainConfig &config, std::uint64_t persists)
     return result;
 }
 
-std::vector<std::size_t>
-pendingAtCrash(const std::vector<double> &issue_times, double crash_time,
-               double drain_latency)
+DrainQueue::DrainQueue(std::vector<double> issue_times,
+                       double drain_latency)
+    : issue_(std::move(issue_times))
 {
     PERSIM_REQUIRE(drain_latency > 0.0,
                    "drain latency must be positive");
-    std::vector<std::size_t> pending;
+    done_.reserve(issue_.size());
     double drain_clock = 0.0; // When the device frees up.
-    for (std::size_t i = 0; i < issue_times.size(); ++i) {
-        PERSIM_REQUIRE(i == 0 || issue_times[i] >= issue_times[i - 1],
+    for (std::size_t i = 0; i < issue_.size(); ++i) {
+        PERSIM_REQUIRE(i == 0 || issue_[i] >= issue_[i - 1],
                        "issue times must be non-decreasing");
-        const double issued = issue_times[i];
-        if (issued > crash_time)
-            break; // Never reached the buffer; nothing to lose.
-        drain_clock = std::max(drain_clock, issued) + drain_latency;
-        if (drain_clock > crash_time)
-            pending.push_back(i);
+        drain_clock = std::max(drain_clock, issue_[i]) + drain_latency;
+        done_.push_back(drain_clock);
     }
-    return pending;
+}
+
+DrainQueue::Range
+DrainQueue::pendingAt(double crash_time) const
+{
+    // Completion times never decrease, so within the issued prefix
+    // the persists still draining at the crash form its tail.
+    Range range;
+    range.last = static_cast<std::size_t>(
+        std::upper_bound(issue_.begin(), issue_.end(), crash_time) -
+        issue_.begin());
+    range.first = static_cast<std::size_t>(
+        std::upper_bound(done_.begin(), done_.begin() + range.last,
+                         crash_time) -
+        done_.begin());
+    return range;
 }
 
 } // namespace persim

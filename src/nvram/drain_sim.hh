@@ -62,18 +62,41 @@ DrainResult simulateDrain(const DrainConfig &config,
                           std::uint64_t persists);
 
 /**
- * Which persists are still sitting in the drain buffer at a crash.
+ * A serial drain of persists in a fixed drain order.
  *
- * @p issue_times is a non-decreasing list of buffer-entry times (one
- * per persist, in drain order); each persist then drains serially at
- * @p drain_latency per persist. Returns the indices of persists that
- * were issued at or before @p crash_time but whose drain had not yet
- * completed — the buffer contents a power failure can destroy (the
- * device-fault model drops a random subset of them).
+ * Built from a non-decreasing list of buffer-entry times (one per
+ * persist, in drain order); each persist then drains serially at
+ * @p drain_latency per persist, so its completion time is
+ * max(previous completion, its issue time) + latency. Both lists are
+ * sorted, so the persists issued at or before a crash instant T are a
+ * prefix, and those of them whose drain had not completed by T — the
+ * buffer contents a power failure can destroy — are the tail of that
+ * prefix. pendingAt() finds that range with two binary searches, so
+ * one queue serves any number of crash instants.
  */
-std::vector<std::size_t> pendingAtCrash(
-    const std::vector<double> &issue_times, double crash_time,
-    double drain_latency);
+class DrainQueue
+{
+  public:
+    /** Index range [first, last) into the drain order. */
+    struct Range
+    {
+        std::size_t first = 0;
+        std::size_t last = 0;
+
+        std::size_t size() const { return last - first; }
+        bool empty() const { return first == last; }
+    };
+
+    DrainQueue() = default;
+    DrainQueue(std::vector<double> issue_times, double drain_latency);
+
+    /** Persists issued at or before @p crash_time but not drained. */
+    Range pendingAt(double crash_time) const;
+
+  private:
+    std::vector<double> issue_;
+    std::vector<double> done_; //!< Drain-completion time of each.
+};
 
 } // namespace persim
 

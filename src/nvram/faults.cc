@@ -7,7 +7,6 @@
 #include "common/bitops.hh"
 #include "common/error.hh"
 #include "common/rng.hh"
-#include "nvram/drain_sim.hh"
 #include "nvram/endurance.hh"
 
 namespace persim {
@@ -155,78 +154,6 @@ FaultModel::FaultModel(const FaultConfig &config,
     }
 }
 
-std::vector<std::size_t>
-FaultModel::groupOf(const PersistLog &log)
-{
-    // Coalesced records chain to the previous member of their device
-    // write; everyone else founds a group of their own.
-    std::vector<std::size_t> group(log.size());
-    for (std::size_t i = 0; i < log.size(); ++i) {
-        const PersistRecord &record = log[i];
-        if (record.binding_source == DepSource::Coalesced &&
-            record.binding < i) {
-            group[i] = group[record.binding];
-        } else {
-            group[i] = i;
-        }
-    }
-    return group;
-}
-
-std::vector<char>
-FaultModel::droppedRecords(const PersistLog &log, double crash_time,
-                           std::uint64_t fault_seed,
-                           FaultOutcome *outcome) const
-{
-    std::vector<char> dropped(log.size(), 0);
-    if (config_.drop_drain_p <= 0.0 || log.empty())
-        return dropped;
-
-    // The drain buffer holds device writes, i.e. coalescing groups:
-    // all pieces of one group drain (or vanish) together.
-    const std::vector<std::size_t> group = groupOf(log);
-    std::vector<std::size_t> founders;
-    for (std::size_t i = 0; i < log.size(); ++i) {
-        if (group[i] == i && log[i].time <= crash_time)
-            founders.push_back(i);
-    }
-    // Drain order is completion order, which need not be log order
-    // across threads; ties resolve by persist id.
-    std::sort(founders.begin(), founders.end(),
-              [&log](std::size_t a, std::size_t b) {
-                  if (log[a].time != log[b].time)
-                      return log[a].time < log[b].time;
-                  return a < b;
-              });
-
-    std::vector<double> issue_times;
-    issue_times.reserve(founders.size());
-    for (std::size_t founder : founders)
-        issue_times.push_back(log[founder].time);
-
-    const std::vector<std::size_t> pending = pendingAtCrash(
-        issue_times, crash_time, config_.drain_latency);
-
-    Rng rng(mixSeed(fault_seed, drain_salt));
-    std::vector<char> dropped_group(log.size(), 0);
-    for (std::size_t idx : pending) {
-        if (!rng.nextBool(config_.drop_drain_p))
-            continue;
-        const std::size_t founder = founders[idx];
-        dropped_group[founder] = 1;
-        if (outcome) {
-            FaultInjection injection;
-            injection.kind = FaultInjection::Kind::DroppedDrain;
-            injection.persist = log[founder].id;
-            injection.addr = log[founder].addr;
-            outcome->record(injection);
-        }
-    }
-    for (std::size_t i = 0; i < log.size(); ++i)
-        dropped[i] = dropped_group[group[i]];
-    return dropped;
-}
-
 void
 FaultModel::tearPiece(MemoryImage &image, const PersistRecord &record,
                       std::uint64_t fault_seed,
@@ -316,32 +243,112 @@ FaultModel::crashImage(const PersistLog &log, double crash_time,
                        std::uint64_t fault_seed,
                        FaultOutcome *outcome) const
 {
-    MemoryImage image;
-    if (!config_.enabled()) {
-        // Fault-free device: exactly the recovery observer's image
-        // (recovery::reconstructImage), durable iff time <= T.
-        for (const PersistRecord &record : log) {
-            if (record.time <= crash_time)
-                image.store(record.addr, record.size, record.value);
-        }
-        return image;
-    }
+    CrashSampler sampler(*this, log);
+    sampler.sample(crash_time, fault_seed, outcome);
+    return sampler.release();
+}
 
-    const std::vector<char> dropped =
-        droppedRecords(log, crash_time, fault_seed, outcome);
+CrashSampler::CrashSampler(const FaultModel &model,
+                           const PersistLog &log)
+    : model_(model), log_(log)
+{
+    if (model_.config().drop_drain_p <= 0.0)
+        return;
+
+    // The drain buffer holds device writes, i.e. coalescing groups:
+    // all pieces of one group drain (or vanish) together. Coalesced
+    // records chain to the previous member of their device write;
+    // everyone else founds a group of their own.
+    std::vector<std::size_t> group(log.size());
     for (std::size_t i = 0; i < log.size(); ++i) {
         const PersistRecord &record = log[i];
-        if (record.time <= crash_time) {
-            if (!dropped[i])
-                image.store(record.addr, record.size, record.value);
-        } else if (config_.tear_persists &&
-                   record.start <= crash_time) {
-            // Crash landed inside the in-flight window [start, time).
-            tearPiece(image, record, fault_seed, outcome);
+        if (record.binding_source == DepSource::Coalesced &&
+            record.binding < i) {
+            group[i] = group[record.binding];
+        } else {
+            group[i] = i;
+            founders_.push_back(i);
         }
     }
-    applyMediaErrors(image, fault_seed, outcome);
-    return image;
+    // Drain order is completion order, which need not be log order
+    // across threads; ties resolve by log index.
+    std::sort(founders_.begin(), founders_.end(),
+              [&log](std::size_t a, std::size_t b) {
+                  if (log[a].time != log[b].time)
+                      return log[a].time < log[b].time;
+                  return a < b;
+              });
+
+    std::vector<double> issue_times;
+    issue_times.reserve(founders_.size());
+    std::vector<std::size_t> founder_pos(log.size());
+    for (std::size_t k = 0; k < founders_.size(); ++k) {
+        issue_times.push_back(log[founders_[k]].time);
+        founder_pos[founders_[k]] = k;
+    }
+    queue_ = DrainQueue(std::move(issue_times),
+                        model_.config().drain_latency);
+
+    drain_pos_ = std::move(group);
+    for (std::size_t &pos : drain_pos_)
+        pos = founder_pos[pos];
+}
+
+DrainQueue::Range
+CrashSampler::drawDrops(double crash_time, std::uint64_t fault_seed,
+                        FaultOutcome *outcome)
+{
+    const FaultConfig &config = model_.config();
+    if (config.drop_drain_p <= 0.0)
+        return {};
+
+    // One draw per queued device write, in drain order.
+    const DrainQueue::Range pending = queue_.pendingAt(crash_time);
+    drop_.assign(pending.size(), 0);
+    Rng rng(mixSeed(fault_seed, drain_salt));
+    for (std::size_t k = pending.first; k < pending.last; ++k) {
+        if (!rng.nextBool(config.drop_drain_p))
+            continue;
+        drop_[k - pending.first] = 1;
+        if (outcome) {
+            const PersistRecord &founder = log_[founders_[k]];
+            FaultInjection injection;
+            injection.kind = FaultInjection::Kind::DroppedDrain;
+            injection.persist = founder.id;
+            injection.addr = founder.addr;
+            outcome->record(injection);
+        }
+    }
+    return pending;
+}
+
+const MemoryImage &
+CrashSampler::sample(double crash_time, std::uint64_t fault_seed,
+                     FaultOutcome *outcome)
+{
+    // With every fault class off this is exactly the recovery
+    // observer's image (recovery::reconstructImage): durable iff
+    // time <= T.
+    image_.zero();
+    const FaultConfig &config = model_.config();
+    const DrainQueue::Range pending =
+        drawDrops(crash_time, fault_seed, outcome);
+    for (std::size_t i = 0; i < log_.size(); ++i) {
+        const PersistRecord &record = log_[i];
+        if (record.time <= crash_time) {
+            const bool dropped = !pending.empty() &&
+                drain_pos_[i] >= pending.first &&
+                drain_pos_[i] < pending.last &&
+                drop_[drain_pos_[i] - pending.first];
+            if (!dropped)
+                image_.store(record.addr, record.size, record.value);
+        } else if (config.tear_persists && record.start <= crash_time) {
+            // Crash landed inside the in-flight window [start, time).
+            model_.tearPiece(image_, record, fault_seed, outcome);
+        }
+    }
+    model_.applyMediaErrors(image_, fault_seed, outcome);
+    return image_;
 }
 
 } // namespace persim

@@ -41,6 +41,7 @@
 
 #include "common/types.hh"
 #include "memtrace/sink.hh"
+#include "nvram/drain_sim.hh"
 #include "persistency/persist_log.hh"
 #include "sim/memory_image.hh"
 
@@ -184,21 +185,16 @@ class FaultModel
      * Build the crash image at @p crash_time under the fault model.
      * Pure function of (log, crash_time, fault_seed): replaying the
      * same triple reproduces the image bit-for-bit. With every fault
-     * class disabled this equals recovery's reconstructImage().
+     * class disabled this equals recovery's reconstructImage(). A
+     * one-shot CrashSampler; sample many crash times of one log
+     * through a CrashSampler instead.
      */
     MemoryImage crashImage(const PersistLog &log, double crash_time,
                            std::uint64_t fault_seed,
                            FaultOutcome *outcome = nullptr) const;
 
   private:
-    /** Coalescing-group founder of each record (device write unit). */
-    static std::vector<std::size_t> groupOf(const PersistLog &log);
-
-    /** Which records vanish from the drain buffer. */
-    std::vector<char> droppedRecords(const PersistLog &log,
-                                     double crash_time,
-                                     std::uint64_t fault_seed,
-                                     FaultOutcome *outcome) const;
+    friend class CrashSampler;
 
     /** Partially land one in-flight persist piece. */
     void tearPiece(MemoryImage &image, const PersistRecord &record,
@@ -212,6 +208,59 @@ class FaultModel
     FaultConfig config_;
     /** Wear profile sorted by block index (deterministic iteration). */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> wear_;
+};
+
+/**
+ * Crash images of one persist log under one FaultModel, built one
+ * sample at a time into a reused scratch image.
+ *
+ * Construction computes the log's drain schedule once (when dropped
+ * drains are enabled): the coalescing groups (device writes), their
+ * founders in drain order — completion time, ties by log index — and
+ * each founder's serial drain-completion time (DrainQueue). At a crash
+ * instant T the founders issued by T are a prefix of that order and
+ * those still queued are a contiguous range of it, so a sample costs
+ * two binary searches plus one pass over the log, with no sort. Each
+ * sample zeroes the previous image's pages instead of reallocating
+ * them. Images are identical to building each one from scratch.
+ *
+ * The model and the log must outlive the sampler.
+ */
+class CrashSampler
+{
+  public:
+    CrashSampler(const FaultModel &model, const PersistLog &log);
+
+    /**
+     * The crash image at @p crash_time under @p fault_seed (see
+     * FaultModel::crashImage). The reference stays valid until the
+     * next call.
+     */
+    const MemoryImage &sample(double crash_time,
+                              std::uint64_t fault_seed,
+                              FaultOutcome *outcome = nullptr);
+
+    /** Move the last sampled image out (leaves the sampler empty). */
+    MemoryImage release() { return std::move(image_); }
+
+  private:
+    /** Draw which queued device writes vanish at @p crash_time;
+        fills drop_ over the returned founder-order range. */
+    DrainQueue::Range drawDrops(double crash_time,
+                                std::uint64_t fault_seed,
+                                FaultOutcome *outcome);
+
+    const FaultModel &model_;
+    const PersistLog &log_;
+    /** Coalescing-group founders (log indices) in drain order. */
+    std::vector<std::size_t> founders_;
+    /** Drain-order position of each record's group founder. */
+    std::vector<std::size_t> drain_pos_;
+    /** Serial drain of founders_ at the configured latency. */
+    DrainQueue queue_;
+    /** Per pending founder of the last sample: 1 when dropped. */
+    std::vector<char> drop_;
+    MemoryImage image_;
 };
 
 } // namespace persim

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hh"
@@ -11,15 +12,6 @@
 
 namespace persim {
 namespace {
-
-/** Build the crash image for one sample under the campaign's model. */
-MemoryImage
-sampleImage(const FaultModel &model, const PersistLog &log,
-            double crash_time, std::uint64_t fault_seed,
-            FaultOutcome *outcome)
-{
-    return model.crashImage(log, crash_time, fault_seed, outcome);
-}
 
 /** Per-realization partial result; merged in realization order. */
 struct RealizationResult
@@ -30,11 +22,51 @@ struct RealizationResult
 };
 
 /**
- * Evaluate every crash time of one realization. @p crash_times must
- * already contain the boundary samples; index c's fault stream is
- * mixSeed(realization_seed, c), so outcomes do not depend on how the
- * schedule was partitioned across workers.
+ * Evaluate @p crash_times over one persist log. Index c's fault stream
+ * is mixSeed(realization_seed, c), so outcomes do not depend on how
+ * the schedule was partitioned across workers. One CrashSampler
+ * serves every sample, so the log's drain schedule is built once and
+ * the image's pages are reused.
  */
+RealizationResult
+evaluateCrashes(const PersistLog &log, const FaultCampaignConfig &config,
+                const FaultModel &model,
+                const RecoveryInvariant &invariant,
+                std::uint64_t realization, std::uint64_t realization_seed,
+                const std::vector<double> &crash_times,
+                std::uint64_t record_cap)
+{
+    RealizationResult out;
+    const bool faulty = config.faults.enabled();
+    CrashSampler sampler(model, log);
+    for (std::size_t c = 0; c < crash_times.size(); ++c) {
+        const double t = crash_times[c];
+        const std::uint64_t fault_seed = mixSeed(realization_seed, c);
+        ++out.samples;
+        FaultOutcome outcome;
+        const MemoryImage &image = sampler.sample(
+            t, fault_seed, faulty ? &outcome : nullptr);
+        const std::string verdict = invariant(image);
+        if (verdict.empty())
+            continue;
+        ++out.violations;
+        if (out.recorded.size() >= record_cap)
+            continue;
+        ViolationRecord violation;
+        violation.realization = realization;
+        violation.realization_seed = realization_seed;
+        violation.crash_time = t;
+        violation.fault_seed = fault_seed;
+        violation.verdict = verdict;
+        if (faulty && outcome.total() > 0)
+            violation.fault_summary = outcome.summary();
+        out.recorded.push_back(std::move(violation));
+    }
+    return out;
+}
+
+/** Evaluate one sampled realization: its boundary samples, then its
+    crash-time fractions of the log's span. */
 RealizationResult
 runRealization(const InMemoryTrace &trace,
                const FaultCampaignConfig &config,
@@ -56,33 +88,8 @@ runRealization(const InMemoryTrace &trace,
     crash_times.push_back(span + 1.0); // Everything persisted.
     for (const double fraction : crash_fractions)
         crash_times.push_back(fraction * span);
-
-    RealizationResult out;
-    const bool faulty = config.faults.enabled();
-    for (std::size_t c = 0; c < crash_times.size(); ++c) {
-        const double t = crash_times[c];
-        const std::uint64_t fault_seed = mixSeed(realization_seed, c);
-        ++out.samples;
-        FaultOutcome outcome;
-        const MemoryImage image = sampleImage(
-            model, log, t, fault_seed, faulty ? &outcome : nullptr);
-        const std::string verdict = invariant(image);
-        if (verdict.empty())
-            continue;
-        ++out.violations;
-        if (out.recorded.size() >= record_cap)
-            continue;
-        ViolationRecord violation;
-        violation.realization = realization;
-        violation.realization_seed = realization_seed;
-        violation.crash_time = t;
-        violation.fault_seed = fault_seed;
-        violation.verdict = verdict;
-        if (faulty && outcome.total() > 0)
-            violation.fault_summary = outcome.summary();
-        out.recorded.push_back(std::move(violation));
-    }
-    return out;
+    return evaluateCrashes(log, config, model, invariant, realization,
+                           realization_seed, crash_times, record_cap);
 }
 
 /** Fold one realization's partials into the campaign result. */
@@ -138,31 +145,11 @@ runFaultCampaign(const InMemoryTrace &trace,
             std::vector<double> crash_times{-1.0};
             if (log.size() == 1)
                 crash_times.push_back(log[0].time + 1.0);
-            RealizationResult part;
-            const bool faulty = config.faults.enabled();
-            for (std::size_t c = 0; c < crash_times.size(); ++c) {
-                const double t = crash_times[c];
-                const std::uint64_t fault_seed =
-                    mixSeed(config.injection.seed, c);
-                ++part.samples;
-                FaultOutcome outcome;
-                const MemoryImage image = sampleImage(
-                    model, log, t, fault_seed,
-                    faulty ? &outcome : nullptr);
-                const std::string verdict = invariant(image);
-                if (verdict.empty())
-                    continue;
-                ++part.violations;
-                ViolationRecord violation;
-                violation.realization = 0;
-                violation.realization_seed = config.injection.seed;
-                violation.crash_time = t;
-                violation.fault_seed = fault_seed;
-                violation.verdict = verdict;
-                if (faulty && outcome.total() > 0)
-                    violation.fault_summary = outcome.summary();
-                part.recorded.push_back(std::move(violation));
-            }
+            // Both samples are recorded; the merge applies the cap.
+            const RealizationResult part = evaluateCrashes(
+                log, config, model, invariant, 0,
+                config.injection.seed, crash_times,
+                std::numeric_limits<std::uint64_t>::max());
             mergeRealization(result, part, record_cap, true);
             return result;
         }

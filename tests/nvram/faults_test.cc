@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.hh"
 #include "nvram/drain_sim.hh"
 #include "nvram/faults.hh"
 #include "recovery/recovery.hh"
@@ -265,18 +270,183 @@ TEST(DrainSim, PendingAtCrashTracksTheSerialDrainClock)
     // Issues at 1, 2, 3 with unit latency: drains complete at 2, 3,
     // 4. At T=2.5 the first has drained, the second is in the device,
     // and the third has not issued yet.
-    const std::vector<double> issues{1.0, 2.0, 3.0};
-    const auto pending = pendingAtCrash(issues, 2.5, 1.0);
+    const DrainQueue queue({1.0, 2.0, 3.0}, 1.0);
+    const DrainQueue::Range pending = queue.pendingAt(2.5);
     ASSERT_EQ(pending.size(), 1u);
-    EXPECT_EQ(pending[0], 1u);
+    EXPECT_EQ(pending.first, 1u);
 
-    EXPECT_TRUE(pendingAtCrash(issues, 10.0, 1.0).empty());
-    EXPECT_TRUE(pendingAtCrash({}, 1.0, 1.0).empty());
+    EXPECT_TRUE(queue.pendingAt(10.0).empty());
+    EXPECT_TRUE(DrainQueue({}, 1.0).pendingAt(1.0).empty());
 
     // Back-to-back issues queue behind each other: at T=1.5 the
     // first write is in the device and the rest wait in the buffer.
-    const std::vector<double> burst{1.0, 1.0, 1.0};
-    EXPECT_EQ(pendingAtCrash(burst, 1.5, 1.0).size(), 3u);
+    const DrainQueue burst({1.0, 1.0, 1.0}, 1.0);
+    EXPECT_EQ(burst.pendingAt(1.5).size(), 3u);
+}
+
+/**
+ * The drain-drop law as first written: per crash, regroup the log,
+ * sort the founders issued by T, and scan the serial drain clock.
+ * CrashSampler's per-log schedule must draw exactly the same drops.
+ */
+struct ReferenceDrops
+{
+    std::vector<char> dropped;            //!< Per record.
+    std::vector<FaultInjection> injected; //!< In record order.
+};
+
+ReferenceDrops
+referenceDrops(const PersistLog &log, const FaultConfig &config,
+               double crash_time, std::uint64_t fault_seed)
+{
+    // faults.cc's domain-separation salt of the dropped-drain stream.
+    constexpr std::uint64_t drain_salt = 0x647261696e647270ULL;
+
+    std::vector<std::size_t> group(log.size());
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        const PersistRecord &record = log[i];
+        group[i] = record.binding_source == DepSource::Coalesced &&
+                record.binding < i
+            ? group[record.binding] : i;
+    }
+    std::vector<std::size_t> founders;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        if (group[i] == i && log[i].time <= crash_time)
+            founders.push_back(i);
+    }
+    std::sort(founders.begin(), founders.end(),
+              [&log](std::size_t a, std::size_t b) {
+                  if (log[a].time != log[b].time)
+                      return log[a].time < log[b].time;
+                  return a < b;
+              });
+
+    ReferenceDrops out;
+    std::vector<char> dropped_group(log.size(), 0);
+    Rng rng(mixSeed(fault_seed, drain_salt));
+    double drain_clock = 0.0;
+    for (const std::size_t founder : founders) {
+        drain_clock = std::max(drain_clock, log[founder].time) +
+                      config.drain_latency;
+        if (drain_clock <= crash_time ||
+            !rng.nextBool(config.drop_drain_p))
+            continue;
+        dropped_group[founder] = 1;
+        FaultInjection injection;
+        injection.kind = FaultInjection::Kind::DroppedDrain;
+        injection.persist = log[founder].id;
+        injection.addr = log[founder].addr;
+        out.injected.push_back(injection);
+    }
+    out.dropped.resize(log.size());
+    for (std::size_t i = 0; i < log.size(); ++i)
+        out.dropped[i] = dropped_group[group[i]];
+    return out;
+}
+
+/**
+ * Random log with coalescing groups and many equal completion times
+ * (times on a coarse grid). Every record writes its own address with
+ * a nonzero value, so the image shows exactly which records landed.
+ */
+PersistLog
+randomDrainLog(Rng &rng, std::size_t size)
+{
+    PersistLog log;
+    for (std::size_t i = 0; i < size; ++i) {
+        const double time = 0.5 * static_cast<double>(rng.nextBounded(12));
+        PersistRecord record =
+            rec(i, paddr(i), 0x100 + i, 0.0, time);
+        if (i > 0 && rng.nextBool(0.35)) {
+            record.binding = rng.nextBounded(i);
+            record.binding_source = DepSource::Coalesced;
+            if (rng.nextBool(0.5))
+                record.time = log[record.binding].time;
+        }
+        log.push_back(record);
+    }
+    return log;
+}
+
+TEST(FaultModel, DrainScheduleMatchesPerCrashResort)
+{
+    Rng rng(0x647261696e736368ULL);
+    for (int trial = 0; trial < 60; ++trial) {
+        const PersistLog log =
+            randomDrainLog(rng, 1 + rng.nextBounded(40));
+        FaultConfig config;
+        config.drop_drain_p = 0.2 + 0.6 * rng.nextDouble();
+        config.drain_latency = 0.25 * static_cast<double>(
+            1 + rng.nextBounded(6));
+        const FaultModel model(config);
+        CrashSampler sampler(model, log);
+        for (int c = 0; c < 25; ++c) {
+            // Half the crashes land exactly on a grid time, where
+            // issue and completion ties decide membership.
+            const double crash_time = rng.nextBool(0.5)
+                ? 0.25 * static_cast<double>(rng.nextBounded(40))
+                : 12.0 * rng.nextDouble();
+            const std::uint64_t seed = rng.next();
+            const ReferenceDrops expect =
+                referenceDrops(log, config, crash_time, seed);
+
+            FaultOutcome outcome;
+            const MemoryImage &image =
+                sampler.sample(crash_time, seed, &outcome);
+            SCOPED_TRACE(testing::Message()
+                         << "trial " << trial << " crash " << crash_time);
+            ASSERT_EQ(outcome.dropped_drains, expect.injected.size());
+            ASSERT_EQ(outcome.injected.size(), expect.injected.size());
+            for (std::size_t k = 0; k < expect.injected.size(); ++k) {
+                EXPECT_EQ(outcome.injected[k].describe(),
+                          expect.injected[k].describe());
+            }
+            for (std::size_t i = 0; i < log.size(); ++i) {
+                const bool landed =
+                    log[i].time <= crash_time && !expect.dropped[i];
+                EXPECT_EQ(image.load(log[i].addr, 8),
+                          landed ? log[i].value : 0u)
+                    << "record " << i;
+            }
+        }
+    }
+}
+
+TEST(FaultModel, ReusedSamplerMatchesOneShotImages)
+{
+    // Every fault class on; one sampler across many crash times must
+    // give the image and outcome a fresh crashImage() gives.
+    Rng rng(0x7265757365696d67ULL);
+    PersistLog log = randomDrainLog(rng, 48);
+    std::unordered_map<std::uint64_t, std::uint64_t> wear;
+    for (PersistRecord &record : log) {
+        record.start = std::max(0.0, record.time - 1.0);
+        wear[record.addr / 64] += 3;
+    }
+    FaultConfig config;
+    config.tear_persists = true;
+    config.atomic_write_unit = 2;
+    config.media_error_per_write = 0.05;
+    config.drop_drain_p = 0.5;
+    config.drain_latency = 0.5;
+    const FaultModel model(config, wear);
+    CrashSampler sampler(model, log);
+    for (int c = 0; c < 40; ++c) {
+        const double crash_time = 7.0 * rng.nextDouble() - 0.5;
+        const std::uint64_t seed = rng.next();
+        FaultOutcome reused;
+        const MemoryImage &image =
+            sampler.sample(crash_time, seed, &reused);
+        FaultOutcome fresh;
+        const MemoryImage once =
+            model.crashImage(log, crash_time, seed, &fresh);
+        EXPECT_EQ(reused.summary(), fresh.summary());
+        expectSameOverLog(log, image, once);
+        for (const auto &[block, writes] : wear) {
+            for (Addr a = block * 64; a < (block + 1) * 64; a += 8)
+                EXPECT_EQ(image.load(a, 8), once.load(a, 8));
+        }
+    }
 }
 
 } // namespace

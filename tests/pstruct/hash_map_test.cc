@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "pstruct/hash_map.hh"
 #include "recovery/recovery.hh"
 
@@ -196,6 +198,18 @@ struct MapInjectionCase
     ModelConfig model;
     const char *name;
 };
+
+/**
+ * Print a case as its name. gtest would otherwise print the raw
+ * bytes, name pointer and struct padding included, and those bytes
+ * become part of every discovered ctest name, changing from build to
+ * build.
+ */
+void
+PrintTo(const MapInjectionCase &param, std::ostream *os)
+{
+    *os << param.name;
+}
 
 class HashMapInjection
     : public ::testing::TestWithParam<MapInjectionCase>

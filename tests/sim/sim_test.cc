@@ -7,15 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/bitops.hh"
 #include "common/error.hh"
+#include "common/rng.hh"
 #include "memtrace/sink.hh"
 #include "sim/address_allocator.hh"
 #include "sim/engine.hh"
@@ -75,6 +78,247 @@ TEST(MemoryImage, RejectsBadSizes)
     EXPECT_THROW(image.load(0, 0), FatalError);
     EXPECT_THROW(image.load(0, 9), FatalError);
     EXPECT_THROW(image.store(0, 16, 0), FatalError);
+}
+
+/**
+ * Byte-map reference model: the plain semantics MemoryImage's word
+ * fast path and page-span copies must reproduce.
+ */
+class ByteModel
+{
+  public:
+    std::uint64_t
+    load(Addr addr, unsigned size) const
+    {
+        std::uint64_t value = 0;
+        for (unsigned i = 0; i < size; ++i)
+            value |= static_cast<std::uint64_t>(byte(addr + i)) << (8 * i);
+        return value;
+    }
+
+    void
+    store(Addr addr, unsigned size, std::uint64_t value)
+    {
+        for (unsigned i = 0; i < size; ++i)
+            bytes_[addr + i] =
+                static_cast<std::uint8_t>(value >> (8 * i));
+    }
+
+    std::uint8_t
+    byte(Addr addr) const
+    {
+        const auto it = bytes_.find(addr);
+        return it == bytes_.end() ? 0 : it->second;
+    }
+
+    void clear() { bytes_.clear(); }
+
+  private:
+    std::map<Addr, std::uint8_t> bytes_;
+};
+
+/** Size mask of an n-byte access. */
+std::uint64_t
+lowBytes(std::uint64_t value, unsigned size)
+{
+    return size == 8 ? value : value & ((1ULL << (8 * size)) - 1);
+}
+
+TEST(MemoryImage, AccessesNearThePageEndRoundTrip)
+{
+    // Every size at every offset of a page's last word: the ones that
+    // fit take the in-page path, the rest straddle into the next page.
+    constexpr std::uint64_t page = MemoryImage::page_size;
+    const std::uint64_t value = 0x8877665544332211ULL;
+    for (unsigned size = 1; size <= 8; ++size) {
+        for (std::uint64_t offset = page - 8; offset < page; ++offset) {
+            MemoryImage image;
+            ByteModel model;
+            // Guard bytes on both sides must survive the store.
+            image.store(3 * page + offset - 8, 8, ~0ULL);
+            model.store(3 * page + offset - 8, 8, ~0ULL);
+            image.store(3 * page + offset + size, 8, ~0ULL);
+            model.store(3 * page + offset + size, 8, ~0ULL);
+
+            const Addr addr = 3 * page + offset;
+            image.store(addr, size, value);
+            model.store(addr, size, value);
+            EXPECT_EQ(image.load(addr, size), lowBytes(value, size))
+                << "size " << size << " offset " << offset;
+            for (Addr a = addr - 8; a < addr + size + 8; ++a)
+                EXPECT_EQ(image.load(a, 1), model.load(a, 1))
+                    << "size " << size << " offset " << offset
+                    << " byte 0x" << std::hex << a;
+            for (unsigned probe = 1; probe <= 8; ++probe)
+                EXPECT_EQ(image.load(addr, probe),
+                          model.load(addr, probe));
+            EXPECT_EQ(image.pageCount(), 2u); // The guard straddles.
+        }
+    }
+}
+
+TEST(MemoryImage, AbsentPagesReadZeroWithoutMaterializing)
+{
+    MemoryImage image;
+    constexpr std::uint64_t page = MemoryImage::page_size;
+    image.store(page + 16, 8, ~0ULL);
+    for (unsigned size = 1; size <= 8; ++size) {
+        EXPECT_EQ(image.load(5 * page + 8, size), 0u);
+        EXPECT_EQ(image.load(5 * page - 3, size), 0u); // Straddles.
+        EXPECT_EQ(image.load(page + 24, size), 0u);    // Present page.
+    }
+    // Half the straddling word lies on the present page.
+    EXPECT_EQ(image.load(page - 4, 8), 0u);
+    EXPECT_EQ(image.load(2 * page - 4, 8), 0u);
+    std::uint8_t buf[64];
+    std::memset(buf, 0xab, sizeof(buf));
+    image.readBytes(buf, 9 * page - 32, sizeof(buf));
+    for (const std::uint8_t byte : buf)
+        EXPECT_EQ(byte, 0u);
+    EXPECT_EQ(image.pageCount(), 1u);
+}
+
+TEST(MemoryImage, BulkBytesSpanThreePages)
+{
+    constexpr std::uint64_t page = MemoryImage::page_size;
+    std::vector<std::uint8_t> data(page + 40);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 7 + 1);
+
+    MemoryImage image;
+    const Addr base = 2 * page - 20; // Pages 1, 2 and 3.
+    image.writeBytes(base, data.data(), data.size());
+    EXPECT_EQ(image.pageCount(), 3u);
+
+    std::vector<std::uint8_t> out(data.size());
+    image.readBytes(out.data(), base, out.size());
+    EXPECT_EQ(out, data);
+    for (std::size_t i = 0; i < data.size(); i += 97)
+        EXPECT_EQ(image.load(base + i, 1), data[i]);
+    EXPECT_EQ(image.load(base - 1, 1), 0u);
+    EXPECT_EQ(image.load(base + data.size(), 1), 0u);
+
+    // A read across a hole: pages 5 and 7 present, 6 absent.
+    MemoryImage holes;
+    holes.store(6 * page - 8, 8, 0x0101010101010101ULL);
+    holes.store(7 * page, 8, 0x0202020202020202ULL);
+    std::vector<std::uint8_t> span(page + 16);
+    holes.readBytes(span.data(), 6 * page - 8, span.size());
+    for (std::size_t i = 0; i < span.size(); ++i) {
+        const std::uint8_t expect =
+            i < 8 ? 1 : i >= page + 8 ? 2 : 0;
+        EXPECT_EQ(span[i], expect) << "byte " << i;
+    }
+    EXPECT_EQ(holes.pageCount(), 2u);
+}
+
+TEST(MemoryImage, ZeroKeepsPagesForReuse)
+{
+    MemoryImage image;
+    constexpr std::uint64_t page = MemoryImage::page_size;
+    image.store(0x100, 8, 0x1122334455667788ULL);
+    image.store(4 * page - 2, 4, 0xdeadbeef);
+    ASSERT_EQ(image.pageCount(), 3u);
+
+    image.zero();
+    EXPECT_EQ(image.pageCount(), 3u);
+    EXPECT_EQ(image.load(0x100, 8), 0u);
+    EXPECT_EQ(image.load(4 * page - 2, 4), 0u);
+
+    // The retained pages take new contents; new pages still appear.
+    image.store(0x104, 2, 0xbeef);
+    image.store(8 * page, 1, 0x5a);
+    EXPECT_EQ(image.load(0x100, 8), 0x0000beef00000000ULL);
+    EXPECT_EQ(image.load(8 * page, 1), 0x5au);
+    EXPECT_EQ(image.load(4 * page - 2, 4), 0u);
+    EXPECT_EQ(image.pageCount(), 4u);
+
+    image.clear();
+    EXPECT_EQ(image.pageCount(), 0u);
+    EXPECT_EQ(image.load(0x104, 2), 0u);
+}
+
+TEST(MemoryImage, CloneIsIndependent)
+{
+    MemoryImage image;
+    image.store(0x40, 8, 0xaaaaaaaaaaaaaaaaULL);
+    MemoryImage copy = image.clone();
+    EXPECT_EQ(copy.load(0x40, 8), 0xaaaaaaaaaaaaaaaaULL);
+
+    image.store(0x40, 8, 1);
+    copy.store(0x48, 8, 2);
+    copy.store(0x10000, 8, 3); // A page only the copy has.
+    EXPECT_EQ(image.load(0x40, 8), 1u);
+    EXPECT_EQ(image.load(0x48, 8), 0u);
+    EXPECT_EQ(image.load(0x10000, 8), 0u);
+    EXPECT_EQ(copy.load(0x40, 8), 0xaaaaaaaaaaaaaaaaULL);
+    EXPECT_EQ(copy.load(0x48, 8), 2u);
+    EXPECT_EQ(image.pageCount(), 1u);
+    EXPECT_EQ(copy.pageCount(), 2u);
+
+    copy.zero();
+    EXPECT_EQ(image.load(0x40, 8), 1u);
+
+    // A moved-from image is empty and still usable.
+    MemoryImage moved = std::move(image);
+    EXPECT_EQ(moved.load(0x40, 8), 1u);
+    EXPECT_EQ(image.pageCount(), 0u);
+    EXPECT_EQ(image.load(0x40, 8), 0u);
+    image.store(0x40, 8, 9);
+    EXPECT_EQ(image.load(0x40, 8), 9u);
+    EXPECT_EQ(moved.load(0x40, 8), 1u);
+}
+
+TEST(MemoryImage, MatchesAByteMapUnderRandomAccesses)
+{
+    // Addresses cluster around the boundaries of a few pages so that
+    // straddling accesses, absent pages and page spans all occur.
+    constexpr std::uint64_t page = MemoryImage::page_size;
+    Rng rng(0x6d656d696d616765ULL);
+    auto randomAddr = [&rng]() -> Addr {
+        const Addr boundary = (1 + rng.nextBounded(6)) * page;
+        return boundary - 24 + rng.nextBounded(48);
+    };
+
+    MemoryImage image;
+    ByteModel model;
+    for (int step = 0; step < 10000; ++step) {
+        const std::uint64_t pick = rng.nextBounded(100);
+        if (pick < 40) {
+            const Addr addr = randomAddr();
+            const auto size = static_cast<unsigned>(1 + rng.nextBounded(8));
+            const std::uint64_t value = rng.next();
+            image.store(addr, size, value);
+            model.store(addr, size, value);
+        } else if (pick < 80) {
+            const Addr addr = randomAddr();
+            const auto size = static_cast<unsigned>(1 + rng.nextBounded(8));
+            ASSERT_EQ(image.load(addr, size), model.load(addr, size))
+                << "step " << step << " load " << size << " @0x"
+                << std::hex << addr;
+        } else if (pick < 90) {
+            const Addr addr = randomAddr();
+            std::vector<std::uint8_t> bytes(rng.nextBounded(page + 64));
+            for (auto &byte : bytes)
+                byte = static_cast<std::uint8_t>(rng.next());
+            image.writeBytes(addr, bytes.data(), bytes.size());
+            for (std::size_t i = 0; i < bytes.size(); ++i)
+                model.store(addr + i, 1, bytes[i]);
+        } else if (pick < 98) {
+            const Addr addr = randomAddr();
+            std::vector<std::uint8_t> bytes(rng.nextBounded(page + 64));
+            image.readBytes(bytes.data(), addr, bytes.size());
+            for (std::size_t i = 0; i < bytes.size(); ++i)
+                ASSERT_EQ(bytes[i], model.byte(addr + i))
+                    << "step " << step << " read @0x" << std::hex
+                    << addr + i;
+        } else if (pick < 99) {
+            image.zero();
+            model.clear();
+        } else {
+            image = image.clone();
+        }
+    }
 }
 
 TEST(Allocator, AllocationsAreDisjointAndAligned)
