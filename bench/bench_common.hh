@@ -23,7 +23,6 @@
 #include "bench_util/table.hh"
 #include "common/task_pool.hh"
 #include "persistency/compiled_replay.hh"
-#include "persistency/segment_replay.hh"
 #include "persistency/timing_engine.hh"
 
 namespace persim::bench {
@@ -186,20 +185,20 @@ effectiveJobs(std::uint32_t jobs)
 }
 
 /**
- * Replay @p trace under @p config the way the bench's --jobs flag
- * asks: serial through one engine at jobs <= 1, segment-parallel
- * (persistency/segment_replay.hh, bit-identical to serial) on the
- * shared @p pool otherwise. Benches that fan out per-config on the
- * same pool stay deadlock-free because parallelFor help-executes
- * nested batches.
+ * Replay @p trace under @p config the way the bench's flags ask:
+ * through one PersistTimingEngine, or with --compiled through
+ * compile -> execute, whose compile prep fans out over --jobs on the
+ * shared @p pool. Benches that fan out per-config on the same pool
+ * stay deadlock-free because parallelFor help-executes nested
+ * batches.
  */
 inline TimingResult
 replayForOptions(const InMemoryTrace &trace, const TimingConfig &config,
                  const BenchOptions &options, TaskPool &pool)
 {
-    const std::uint32_t jobs = effectiveJobs(options.jobs);
     if (options.compiled) {
-        // Compiled path: segment-prep once (cached across runs and
+        const std::uint32_t jobs = effectiveJobs(options.jobs);
+        // Compiled path: compile once (cached across runs and
         // across same-spec models when --compile-cache is set), then
         // execute the micro-op columns directly.
         CompiledReplayOptions copts;
@@ -216,15 +215,9 @@ replayForOptions(const InMemoryTrace &trace, const TimingConfig &config,
                          config, jobs, &pool);
         return compiledReplay(compiled.view(), config, copts);
     }
-    if (jobs <= 1) {
-        PersistTimingEngine engine(config);
-        trace.replay(engine);
-        return engine.result();
-    }
-    SegmentReplayOptions segment;
-    segment.jobs = jobs;
-    segment.pool = &pool;
-    return segmentReplay(trace, config, segment);
+    PersistTimingEngine engine(config);
+    trace.replay(engine);
+    return engine.result();
 }
 
 /** Wall-clock stopwatch for per-analysis timing. */

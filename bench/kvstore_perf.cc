@@ -548,41 +548,16 @@ main(int argc, char **argv)
 
         // Phase 5: replay the transaction trace per model. The
         // commit protocol's barriers (journal append, status flip,
-        // applies) are exactly what the models price differently;
-        // segment replay fans the analysis over the shared pool,
-        // bit-identical to serial.
+        // applies) are exactly what the models price differently.
+        BenchOptions txn_replay_options;
+        txn_replay_options.jobs = jobs;
+        txn_replay_options.compiled = options.compiled;
+        txn_replay_options.compile_cache = options.compile_cache;
         for (const Model &model : modelList()) {
-            const TimingConfig timing = levels(model.model);
             Stopwatch txn_replay_watch;
-            TimingResult result;
-            if (options.compiled) {
-                CompiledReplayOptions copts;
-                copts.jobs = jobs;
-                copts.pool = &pool;
-                if (!options.compile_cache.empty()) {
-                    const CompiledTraceHandle handle = loadOrCompileTrace(
-                        txn_run.trace.events().data(),
-                        txn_run.trace.events().size(), timing,
-                        options.compile_cache, {}, jobs, &pool);
-                    result = compiledReplay(handle.view(), timing, copts);
-                } else {
-                    const CompiledTrace compiled = compileTrace(
-                        txn_run.trace.events().data(),
-                        txn_run.trace.events().size(), timing, jobs,
-                        &pool);
-                    result = compiledReplay(compiled.view(), timing,
-                                            copts);
-                }
-            } else if (jobs <= 1) {
-                PersistTimingEngine engine(timing);
-                txn_run.trace.replay(engine);
-                result = engine.result();
-            } else {
-                SegmentReplayOptions segment;
-                segment.jobs = jobs;
-                segment.pool = &pool;
-                result = segmentReplay(txn_run.trace, timing, segment);
-            }
+            const TimingResult result =
+                replayForOptions(txn_run.trace, levels(model.model),
+                                 txn_replay_options, pool);
             const double txn_replay_wall = txn_replay_watch.seconds();
             txn_replay.row({strategy.name, model.name,
                             std::to_string(txn_run.trace.size()),

@@ -5,8 +5,8 @@
 # stage (PersistRace detector + crash-state pruner tests and the
 # explore-scaling acceptance gate), run the kvstore stage (recovery
 # ladder + corruption fuzzer + load-driver gate), run the
-# compiled-trace stage (bit-identity + corrupt-artifact suite and the
-# trace_pack round-trip battery, instrumented), fuzz the timing
+# compiled-trace stage (bit-identity + corrupt-artifact suite,
+# instrumented), fuzz the timing
 # engine differentially (--fuzz-iters=N, default 500), and run the
 # perf-labeled replay-throughput regression.
 set -euo pipefail
@@ -74,22 +74,23 @@ done
 rm -f "$KV_JSON"
 
 # ThreadSanitizer pass: the task pool, the pool-driven parallel sweep,
-# the segment-parallel replay path (prep fan-out + deferred log
-# materialization), and the sharded explorer must be race-free.
-# Separate build tree so the instrumented objects never mix with the
-# tier-1 build. The segment-replay test trace is shrunk to 150k events
-# because TSan's ~10x slowdown would otherwise dominate the stage.
+# the compiled-trace path (parallel compile prep, nested on a shared
+# pool, + deferred log materialization), and the sharded explorer
+# must be race-free. Separate build tree so the instrumented objects
+# never mix with the tier-1 build. The compiled-trace test's synthetic
+# trace is shrunk to 150k events because TSan's ~10x slowdown would
+# otherwise dominate the stage.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j \
-    --target task_pool_test sweep_test segment_replay_test \
+    --target task_pool_test sweep_test compiled_trace_test \
     explore_test explore_litmus tso_test conformance_test \
     kv_txn_test kvstore_perf
 ./build-tsan/tests/task_pool_test
 ./build-tsan/tests/sweep_test
 PERSIM_SYNTH_EVENTS=150000 PERSIM_GOLDEN_DIR=tests/persistency/golden \
-    ./build-tsan/tests/segment_replay_test
+    ./build-tsan/tests/compiled_trace_test
 ./build-tsan/tests/explore_test
 ./build-tsan/bench/explore_litmus --model=epoch --threads=2
 ./build-tsan/bench/explore_litmus --program=queue --shards=4 \
@@ -127,7 +128,7 @@ cmake --build build-asan -j \
     persist_race_test pruned_cuts_test \
     kvstore_test kv_recovery_test kv_campaign_test \
     kv_txn_test kv_router_fuzz_test kv_txn_campaign_test \
-    compiled_trace_test trace_pack
+    compiled_trace_test
 ./build-asan/tests/sim_test
 ./build-asan/tests/tso_test
 ./build-asan/tests/explore_test
@@ -160,14 +161,11 @@ PERSIM_GOLDEN_DIR=tests/persistency/golden \
 ./build-asan/tests/kv_txn_campaign_test
 
 # Compiled-trace stage: the artifact format does raw mmap'd column
-# slicing and varint decoding — run the full bit-identity +
-# corrupt-artifact suite instrumented (shrunken synthetic trace, the
-# identity must hold at any size), then the trace_pack round-trip
-# battery (compile -> pack -> unpack -> replay == interpreted on the
-# four goldens plus a 1M synthetic trace).
+# slicing — run the full bit-identity + corrupt-artifact suite
+# instrumented (shrunken synthetic trace, the identity must hold at
+# any size).
 PERSIM_SYNTH_EVENTS=150000 PERSIM_GOLDEN_DIR=tests/persistency/golden \
     ./build-asan/tests/compiled_trace_test
-./build-asan/bench/trace_pack verify >/dev/null
 
 # Fuzz stage: the differential fuzzer at full depth, instrumented —
 # 500 seeded random programs (default) replayed under all three

@@ -19,8 +19,6 @@ namespace {
 
 constexpr std::array<char, 8> ctc_magic =
     {'P', 'S', 'I', 'M', 'C', 'T', 'C', '1'};
-constexpr std::array<char, 8> ctp_magic =
-    {'P', 'S', 'I', 'M', 'C', 'T', 'P', '1'};
 constexpr std::uint32_t endian_marker = 0x01020304u;
 constexpr std::size_t header_size = 128;
 constexpr std::size_t header_checked = 96;
@@ -104,12 +102,12 @@ getLe(const unsigned char *in, int bytes)
 
 /** Serialize the 128-byte header (checksum filled in). */
 void
-packHeader(unsigned char out[header_size], const std::array<char, 8> &magic,
-           const CompiledTrace &trace, std::uint64_t micro_ops,
-           std::uint64_t payload_bytes, std::uint64_t payload_checksum)
+packHeader(unsigned char out[header_size], const CompiledTrace &trace,
+           std::uint64_t micro_ops, std::uint64_t payload_bytes,
+           std::uint64_t payload_checksum)
 {
     std::memset(out, 0, header_size);
-    std::memcpy(out, magic.data(), magic.size());
+    std::memcpy(out, ctc_magic.data(), ctc_magic.size());
     putLe(out + 8, compiled_trace_version, 4);
     putLe(out + 12, endian_marker, 4);
     putLe(out + 16, trace.source_hash, 8);
@@ -125,7 +123,7 @@ packHeader(unsigned char out[header_size], const std::array<char, 8> &magic,
     putLe(out + 96, fnv1a64(out, header_checked), 8);
 }
 
-/** Parsed header fields (validated against @p magic). */
+/** Parsed and validated header fields. */
 struct Header
 {
     std::uint64_t source_hash;
@@ -141,10 +139,10 @@ struct Header
 };
 
 Header
-parseHeader(const unsigned char *bytes, const std::array<char, 8> &magic,
-            const std::string &path)
+parseHeader(const unsigned char *bytes, const std::string &path)
 {
-    PERSIM_REQUIRE(std::memcmp(bytes, magic.data(), magic.size()) == 0,
+    PERSIM_REQUIRE(std::memcmp(bytes, ctc_magic.data(),
+                               ctc_magic.size()) == 0,
                    "bad compiled trace magic: " << path);
     const auto version = static_cast<std::uint32_t>(getLe(bytes + 8, 4));
     PERSIM_REQUIRE(version == compiled_trace_version,
@@ -237,6 +235,14 @@ CompiledTrace::view() const
     return v;
 }
 
+namespace {
+
+/**
+ * Validate every column row of @p view: kind and run_kind bytes are
+ * <= @p max_kind, the run lengths partition [0, micro_ops) with
+ * matching kinds, and slots are in range or compiled_no_slot. Fatals
+ * naming the offending row; @p what names the artifact in messages.
+ */
 void
 validateCompiledView(const CompiledTraceView &view, std::uint8_t max_kind,
                      const std::string &what)
@@ -289,6 +295,8 @@ validateCompiledView(const CompiledTraceView &view, std::uint8_t max_kind,
     }
 }
 
+} // namespace
+
 void
 writeCompiledTrace(const std::string &path, const CompiledTrace &trace)
 {
@@ -329,7 +337,7 @@ writeCompiledTrace(const std::string &path, const CompiledTrace &trace)
                         static_cast<std::size_t>(layout.bytes[i]));
 
     unsigned char header[header_size];
-    packHeader(header, ctc_magic, trace, micro_ops, layout.payload_bytes,
+    packHeader(header, trace, micro_ops, layout.payload_bytes,
                fnv1a64(payload.data(), payload.size()));
 
     std::FILE *file = std::fopen(path.c_str(), "wb");
@@ -376,7 +384,7 @@ MmapCompiledTrace::MmapCompiledTrace(const std::string &path,
 
     try {
         const auto *base = static_cast<const unsigned char *>(map_);
-        const Header header = parseHeader(base, ctc_magic, path);
+        const Header header = parseHeader(base, path);
         const Layout layout =
             layoutFor(header.micro_ops, header.runs,
                       header.track_slots, header.atomic_slots);
@@ -445,274 +453,6 @@ MmapCompiledTrace::~MmapCompiledTrace()
 {
     if (map_ != nullptr)
         ::munmap(map_, map_size_);
-}
-
-namespace {
-
-void
-putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::uint64_t
-getVarint(const std::uint8_t *data, std::size_t size, std::size_t &at,
-          const char *what)
-{
-    std::uint64_t v = 0;
-    unsigned shift = 0;
-    while (true) {
-        PERSIM_REQUIRE(at < size,
-                       "packed trace truncated at byte " << at
-                           << " inside a varint (" << what << ")");
-        const std::uint8_t byte = data[at++];
-        PERSIM_REQUIRE(shift < 64,
-                       "packed trace corrupt at byte " << (at - 1)
-                           << ": varint overlong (" << what << ")");
-        v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0)
-            return v;
-        shift += 7;
-    }
-}
-
-std::uint64_t
-zigzag(std::int64_t v)
-{
-    return (static_cast<std::uint64_t>(v) << 1) ^
-        static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t
-unzigzag(std::uint64_t v)
-{
-    return static_cast<std::int64_t>(v >> 1) ^
-        -static_cast<std::int64_t>(v & 1);
-}
-
-/** Zigzag-delta a u64 column (address-like: deltas are small). */
-void
-packDelta(std::vector<std::uint8_t> &out, const std::uint64_t *column,
-          std::uint64_t rows)
-{
-    std::uint64_t prev = 0;
-    for (std::uint64_t i = 0; i < rows; ++i) {
-        putVarint(out, zigzag(static_cast<std::int64_t>(column[i] -
-                                                        prev)));
-        prev = column[i];
-    }
-}
-
-void
-unpackDelta(const std::uint8_t *data, std::size_t size, std::size_t &at,
-            std::vector<std::uint64_t> &column, std::uint64_t rows,
-            const char *what)
-{
-    column.reserve(static_cast<std::size_t>(rows));
-    std::uint64_t prev = 0;
-    for (std::uint64_t i = 0; i < rows; ++i) {
-        prev += static_cast<std::uint64_t>(
-            unzigzag(getVarint(data, size, at, what)));
-        column.push_back(prev);
-    }
-}
-
-} // namespace
-
-std::vector<std::uint8_t>
-packCompiledTrace(const CompiledTraceView &view)
-{
-    std::vector<std::uint8_t> out(header_size, 0);
-
-    const auto raw8 = [&out](const std::uint8_t *column,
-                             std::uint64_t rows) {
-        out.insert(out.end(), column, column + rows);
-    };
-    const auto varint32 = [&out](const std::uint32_t *column,
-                                 std::uint64_t rows) {
-        for (std::uint64_t i = 0; i < rows; ++i)
-            putVarint(out, column[i]);
-    };
-    const auto varint64 = [&out](const std::uint64_t *column,
-                                 std::uint64_t rows) {
-        for (std::uint64_t i = 0; i < rows; ++i)
-            putVarint(out, column[i]);
-    };
-
-    raw8(view.kind, view.micro_ops);
-    raw8(view.size, view.micro_ops);
-    raw8(view.flags, view.micro_ops);
-    varint32(view.thread, view.micro_ops);
-    // Slot sentinels (~0u) stay cheap as deltas of the *signed* slot
-    // stream; plain varints would spend 5 bytes per sentinel.
-    {
-        std::uint64_t prev = 0;
-        for (std::uint64_t i = 0; i < view.micro_ops; ++i) {
-            putVarint(out, zigzag(static_cast<std::int64_t>(
-                               std::uint64_t{view.tslot[i]} - prev)));
-            prev = view.tslot[i];
-        }
-        prev = 0;
-        for (std::uint64_t i = 0; i < view.micro_ops; ++i) {
-            putVarint(out, zigzag(static_cast<std::int64_t>(
-                               std::uint64_t{view.aslot[i]} - prev)));
-            prev = view.aslot[i];
-        }
-    }
-    packDelta(out, view.addr, view.micro_ops);
-    varint64(view.value, view.micro_ops);
-    packDelta(out, view.seq, view.micro_ops);
-    varint32(view.run_len, view.runs);
-    raw8(view.run_kind, view.runs);
-    packDelta(out, view.track_keys, view.track_slots);
-    packDelta(out, view.atomic_keys, view.atomic_slots);
-
-    CompiledTrace facts;
-    facts.events = view.events;
-    facts.thread_count = view.thread_count;
-    facts.source_hash = view.source_hash;
-    facts.spec_fp = view.spec_fp;
-    facts.track_keys.resize(static_cast<std::size_t>(view.track_slots));
-    facts.atomic_keys.resize(
-        static_cast<std::size_t>(view.atomic_slots));
-    facts.run_len.resize(static_cast<std::size_t>(view.runs));
-    facts.run_kind.resize(static_cast<std::size_t>(view.runs));
-    // packHeader reads only counts and facts from the CompiledTrace;
-    // micro_ops and the payload figures are passed explicitly.
-    packHeader(out.data(), ctp_magic, facts, view.micro_ops,
-               out.size() - header_size,
-               fnv1a64(out.data() + header_size,
-                       out.size() - header_size));
-    return out;
-}
-
-CompiledTrace
-unpackCompiledTrace(const std::uint8_t *data, std::size_t size)
-{
-    PERSIM_REQUIRE(size >= header_size,
-                   "packed trace truncated: " << size
-                       << " bytes is smaller than the " << header_size
-                       << "-byte header");
-    const Header header = parseHeader(data, ctp_magic, "<packed>");
-    PERSIM_REQUIRE(
-        size - header_size == header.payload_bytes,
-        "packed trace truncated: header claims "
-            << header_size + header.payload_bytes
-            << " bytes but the stream ends at byte " << size);
-    const std::uint64_t payload_sum =
-        fnv1a64(data + header_size, size - header_size);
-    PERSIM_REQUIRE(payload_sum == header.payload_checksum,
-                   "packed trace payload checksum mismatch (stored 0x"
-                       << std::hex << header.payload_checksum
-                       << ", computed 0x" << payload_sum << ")");
-
-    CompiledTrace trace;
-    trace.events = header.events;
-    trace.thread_count = header.thread_count;
-    trace.source_hash = header.source_hash;
-    trace.spec_fp = header.spec_fp;
-
-    const std::uint64_t n = header.micro_ops;
-    std::size_t at = header_size;
-    const auto raw8 = [&](std::vector<std::uint8_t> &column,
-                          std::uint64_t rows, const char *what) {
-        PERSIM_REQUIRE(size - at >= rows,
-                       "packed trace truncated at byte " << at << " ("
-                           << what << ")");
-        column.assign(data + at, data + at + rows);
-        at += static_cast<std::size_t>(rows);
-    };
-    const auto varint32 = [&](std::vector<std::uint32_t> &column,
-                              std::uint64_t rows, const char *what) {
-        column.reserve(static_cast<std::size_t>(rows));
-        for (std::uint64_t i = 0; i < rows; ++i) {
-            const std::uint64_t v = getVarint(data, size, at, what);
-            PERSIM_REQUIRE(v <= 0xffffffffu,
-                           "packed trace corrupt: " << what
-                               << " value " << v
-                               << " does not fit 32 bits");
-            column.push_back(static_cast<std::uint32_t>(v));
-        }
-    };
-    const auto varint64 = [&](std::vector<std::uint64_t> &column,
-                              std::uint64_t rows, const char *what) {
-        column.reserve(static_cast<std::size_t>(rows));
-        for (std::uint64_t i = 0; i < rows; ++i)
-            column.push_back(getVarint(data, size, at, what));
-    };
-    const auto delta32 = [&](std::vector<std::uint32_t> &column,
-                             std::uint64_t rows, const char *what) {
-        column.reserve(static_cast<std::size_t>(rows));
-        std::uint64_t prev = 0;
-        for (std::uint64_t i = 0; i < rows; ++i) {
-            prev += static_cast<std::uint64_t>(
-                unzigzag(getVarint(data, size, at, what)));
-            const std::uint64_t v = prev & 0xffffffffu;
-            column.push_back(static_cast<std::uint32_t>(v));
-            prev = v;
-        }
-    };
-
-    raw8(trace.kind, n, "kind");
-    raw8(trace.size, n, "size");
-    raw8(trace.flags, n, "flags");
-    varint32(trace.thread, n, "thread");
-    delta32(trace.tslot, n, "tslot");
-    delta32(trace.aslot, n, "aslot");
-    unpackDelta(data, size, at, trace.addr, n, "addr");
-    varint64(trace.value, n, "value");
-    unpackDelta(data, size, at, trace.seq, n, "seq");
-    varint32(trace.run_len, header.runs, "run_len");
-    raw8(trace.run_kind, header.runs, "run_kind");
-    unpackDelta(data, size, at, trace.track_keys, header.track_slots,
-                "track_keys");
-    unpackDelta(data, size, at, trace.atomic_keys, header.atomic_slots,
-                "atomic_keys");
-    PERSIM_REQUIRE(at == size,
-                   "packed trace corrupt: " << size - at
-                       << " trailing bytes after the last column");
-    return trace;
-}
-
-void
-writePackedTrace(const std::string &path, const CompiledTraceView &view)
-{
-    const std::vector<std::uint8_t> bytes = packCompiledTrace(view);
-    std::FILE *file = std::fopen(path.c_str(), "wb");
-    PERSIM_REQUIRE(file != nullptr,
-                   "cannot open packed trace for writing: " << path);
-    const bool wrote =
-        std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
-    const bool flushed = std::fflush(file) == 0;
-    const bool closed = std::fclose(file) == 0;
-    PERSIM_REQUIRE(wrote && flushed && closed,
-                   "short write to packed trace: " << path);
-}
-
-CompiledTrace
-readPackedTrace(const std::string &path)
-{
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    PERSIM_REQUIRE(file != nullptr,
-                   "cannot open packed trace for reading: " << path);
-    std::vector<std::uint8_t> bytes;
-    std::fseek(file, 0, SEEK_END);
-    const long file_size = std::ftell(file);
-    std::fseek(file, 0, SEEK_SET);
-    PERSIM_REQUIRE(file_size >= 0,
-                   "cannot size packed trace: " << path);
-    bytes.resize(static_cast<std::size_t>(file_size));
-    const std::size_t got =
-        std::fread(bytes.data(), 1, bytes.size(), file);
-    std::fclose(file);
-    PERSIM_REQUIRE(got == bytes.size(),
-                   "packed trace truncated: read stopped at byte "
-                       << got << " of " << bytes.size() << ": " << path);
-    return unpackCompiledTrace(bytes.data(), bytes.size());
 }
 
 } // namespace persim

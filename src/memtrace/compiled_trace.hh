@@ -46,10 +46,7 @@
  * membership). The run index partitions [0, micro_ops) into maximal
  * same-kind runs so the executor dispatches per run, not per op.
  *
- * A packed sibling (".ctp", magic "PSIMCTP1") stores the same columns
- * delta/varint-encoded for cold storage; see packCompiledTrace().
- *
- * Like MmapTraceReader, both readers require a little-endian host and
+ * Like MmapTraceReader, the reader requires a little-endian host and
  * validate everything up front — magic, version, endianness, both
  * checksums, file size against the header's counts (reporting the
  * offending byte offset on truncation), and every column row (kind
@@ -138,16 +135,6 @@ struct CompiledTrace
 };
 
 /**
- * Validate every column row of @p view: kind and run_kind bytes are
- * <= @p max_kind, the run lengths partition [0, micro_ops) with
- * matching kinds, and slots are in range or compiled_no_slot. Fatals
- * naming the offending row; @p what names the artifact in messages.
- */
-void validateCompiledView(const CompiledTraceView &view,
-                          std::uint8_t max_kind,
-                          const std::string &what);
-
-/**
  * Write @p trace to @p path in the .ctc layout above. Fatals on IO
  * errors and (like MmapTraceReader) on a big-endian host.
  */
@@ -177,24 +164,6 @@ class MmapCompiledTrace
     void *map_ = nullptr;
     std::size_t map_size_ = 0;
 };
-
-/**
- * Pack @p view into the delta/varint cold-storage encoding (the .ctp
- * byte stream, header included). Address-like columns (addr, seq,
- * track/atomic keys) are zigzag-delta coded to exploit locality;
- * small-integer columns (thread, tslot, aslot, value, run_len) are
- * plain varints; u8 columns are stored raw.
- */
-std::vector<std::uint8_t> packCompiledTrace(const CompiledTraceView &view);
-
-/** Decode a .ctp byte stream back into an owning CompiledTrace. */
-CompiledTrace unpackCompiledTrace(const std::uint8_t *data,
-                                  std::size_t size);
-
-/** Write/read the packed encoding to/from a file. */
-void writePackedTrace(const std::string &path,
-                      const CompiledTraceView &view);
-CompiledTrace readPackedTrace(const std::string &path);
 
 } // namespace persim
 

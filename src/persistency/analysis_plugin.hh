@@ -7,12 +7,12 @@
  * piece, every persist (issue and completion), every Px86 cache-line
  * flush, every fence/barrier, and the end-of-trace crash-cut
  * boundary. Plugins compose with every engine feature — record_log,
- * record_deps, deferred log materialization, and intra-trace segment
+ * record_deps, deferred log materialization, and compiled-trace
  * replay — because the hooks fire from the engine's own piece
- * handlers, which both the serial path and the segment-replay stitch
+ * handlers, which both process() and the compiled generic executor
  * execute in identical trace order. A plugin attached to a
  * TimingConfig therefore sees a bit-identical event stream whether
- * the trace is replayed serially or with --jobs.
+ * the trace is replayed interpreted or compiled.
  *
  * Scope: plugins observe exactly the accesses the engine tracks.
  * Under ConflictScope::AllAddresses (every built-in model except

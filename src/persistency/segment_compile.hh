@@ -3,19 +3,13 @@
  * The segment compiler: decode + cache-line split + scope filter +
  * slot interning as a pure function of (events, CompileSpec).
  *
- * Shared by two consumers with very different lifetimes:
- *
- *  - segment_replay.cc compiles segments transiently on the TaskPool
- *    and stitches them through one engine immediately (DESIGN.md
- *    Section 12);
- *  - compiled_replay.cc compiles a whole trace once, renumbers the
- *    segment-local slots to global ones, and persists the result as
- *    an on-disk compiled-trace artifact (memtrace/compiled_trace.hh,
- *    DESIGN.md Section 17) that later replays skip this pass for.
- *
- * Keeping one decoder keeps the two paths bit-identical by
- * construction: there is no second implementation of the split/
- * filter/intern rules to drift.
+ * This is compileTrace's parallel prep (compiled_replay.cc): each
+ * contiguous trace segment compiles independently on the TaskPool,
+ * then the segment-local slots are renumbered to global ones and the
+ * result becomes a compiled-trace artifact (memtrace/compiled_trace.hh,
+ * DESIGN.md Section 17) that later replays skip this pass for. The
+ * split/filter rules mirror PersistTimingEngine::process(); the
+ * compiled_trace_test goldens pin the two bit-identical.
  */
 
 #ifndef PERSIM_PERSISTENCY_SEGMENT_COMPILE_HH

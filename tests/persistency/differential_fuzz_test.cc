@@ -20,11 +20,13 @@
  *  - every consistent cut of every model's persist DAG satisfies the
  *    program's publish invariant (flag[t] <= data[t]).
  *
- * Odd seeds run all three replays through the segment-parallel path
- * (persistency/segment_replay.hh) with seed-varied worker counts and
- * segment sizes, asserted bit-identical to serial replay before the
- * invariants run — so the fuzzer exercises segment compile/stitch
- * boundaries against the same refinement and recovery-image checks.
+ * Odd seeds also run all three replays through compile -> execute
+ * (persistency/compiled_replay.hh, the generic executor, since every
+ * replay records its log) with seed-varied worker counts on a shared
+ * pool, asserted bit-identical to interpreted replay before the
+ * invariants run — so the fuzzer exercises the compiler's parallel
+ * prep, slot renumbering and deferred log materialization against
+ * the same refinement and recovery-image checks.
  *
  * Iteration count comes from PERSIM_FUZZ_ITERS (default 25; the
  * check.sh fuzz stage runs 500). Any failure prints a one-line repro:
@@ -46,10 +48,11 @@
 #include <string>
 #include <vector>
 
+#include "common/task_pool.hh"
 #include "explore/programs.hh"
 #include "memtrace/sink.hh"
+#include "persistency/compiled_replay.hh"
 #include "persistency/persist_race.hh"
-#include "persistency/segment_replay.hh"
 #include "persistency/timing_engine.hh"
 #include "recovery/cuts.hh"
 #include "recovery/recovery.hh"
@@ -66,6 +69,29 @@ envU64(const char *name, std::uint64_t fallback)
     if (!value || !*value)
         return fallback;
     return std::strtoull(value, nullptr, 10);
+}
+
+/** One pool shared by every compiled replay in this binary. */
+TaskPool &
+sharedPool()
+{
+    static TaskPool pool(4);
+    return pool;
+}
+
+/** Compile @p trace with a seed-varied worker count on the shared
+    pool and execute it. */
+TimingResult
+compiledReplayFor(const InMemoryTrace &trace, const TimingConfig &config,
+                  std::uint64_t seed, PersistLog *log_out)
+{
+    CompiledReplayOptions options;
+    options.jobs = 2 + static_cast<std::uint32_t>(seed % 3);
+    options.pool = &sharedPool();
+    const CompiledTrace compiled =
+        compileTrace(trace.events().data(), trace.events().size(),
+                     config, options.jobs, options.pool);
+    return compiledReplay(compiled.view(), config, options, log_out);
 }
 
 /** Per-iteration cut-enumeration budget (strand DAGs can be wide). */
@@ -94,16 +120,15 @@ struct Replay
 std::string compareLogs(const PersistLog &a, const PersistLog &b);
 
 /**
- * Replay @p trace serially; when @p parallel_seed is nonzero, ALSO
- * replay it through the segment-parallel path (seed-varied worker
- * count and segment size) and assert bit-identical results and logs,
- * so every downstream invariant in checkSeed exercises the
- * segment-merge machinery too.
+ * Replay @p trace interpreted; when @p compiled_seed is nonzero, ALSO
+ * replay it through compile -> execute (seed-varied worker count)
+ * and assert bit-identical results and logs, so every downstream
+ * invariant in checkSeed exercises the compiled executor too.
  */
 Replay
 replayTrace(const InMemoryTrace &trace, const ModelConfig &model,
             EngineMutant mutant = EngineMutant::None,
-            std::uint64_t parallel_seed = 0)
+            std::uint64_t compiled_seed = 0)
 {
     TimingConfig config;
     config.model = model;
@@ -113,29 +138,26 @@ replayTrace(const InMemoryTrace &trace, const ModelConfig &model,
     PersistTimingEngine engine(config);
     trace.replay(engine);
     Replay serial{engine.result(), engine.takeLog()};
-    if (parallel_seed == 0)
+    if (compiled_seed == 0)
         return serial;
 
-    SegmentReplayOptions options;
-    options.jobs = 2 + static_cast<std::uint32_t>(parallel_seed % 3);
-    options.segment_events = 16 + parallel_seed % 113;
-    Replay parallel;
-    parallel.result =
-        segmentReplay(trace, config, options, &parallel.log);
-    EXPECT_EQ(compareLogs(serial.log, parallel.log), "")
-        << "segment-parallel replay diverged from serial";
+    Replay compiled;
+    compiled.result =
+        compiledReplayFor(trace, config, compiled_seed, &compiled.log);
+    EXPECT_EQ(compareLogs(serial.log, compiled.log), "")
+        << "compiled replay diverged from interpreted";
     EXPECT_EQ(serial.result.critical_path,
-              parallel.result.critical_path);
-    EXPECT_EQ(serial.result.persists, parallel.result.persists);
-    EXPECT_EQ(serial.result.coalesced, parallel.result.coalesced);
-    EXPECT_EQ(serial.result.events, parallel.result.events);
-    EXPECT_EQ(serial.result.barriers, parallel.result.barriers);
-    EXPECT_EQ(serial.result.strands, parallel.result.strands);
-    EXPECT_EQ(serial.result.ops, parallel.result.ops);
-    EXPECT_EQ(serial.result.flushes, parallel.result.flushes);
-    EXPECT_EQ(serial.result.fences, parallel.result.fences);
-    EXPECT_EQ(serial.result.unflushed, parallel.result.unflushed);
-    return parallel;
+              compiled.result.critical_path);
+    EXPECT_EQ(serial.result.persists, compiled.result.persists);
+    EXPECT_EQ(serial.result.coalesced, compiled.result.coalesced);
+    EXPECT_EQ(serial.result.events, compiled.result.events);
+    EXPECT_EQ(serial.result.barriers, compiled.result.barriers);
+    EXPECT_EQ(serial.result.strands, compiled.result.strands);
+    EXPECT_EQ(serial.result.ops, compiled.result.ops);
+    EXPECT_EQ(serial.result.flushes, compiled.result.flushes);
+    EXPECT_EQ(serial.result.fences, compiled.result.fences);
+    EXPECT_EQ(serial.result.unflushed, compiled.result.unflushed);
+    return compiled;
 }
 
 std::string
@@ -163,7 +185,7 @@ struct FuzzStats
 {
     std::uint64_t programs = 0;
     std::uint64_t strand_free = 0;
-    std::uint64_t parallel_replays = 0;
+    std::uint64_t compiled_replays = 0;
     std::uint64_t events = 0;
     std::uint64_t persists = 0;
     std::uint64_t cuts_checked = 0;
@@ -186,12 +208,12 @@ checkSeed(std::uint64_t seed, FuzzStats &stats)
     sim.runSetup(program.setup);
     sim.run(program.workers);
 
-    // Odd seeds route the replays through the segment-parallel path
+    // Odd seeds route the replays through compile -> execute
     // (asserted bit-identical to serial inside replayTrace), so the
-    // refinement/recovery invariants below also fuzz segment merging.
+    // refinement/recovery invariants below also fuzz the compiler.
     const std::uint64_t pseed = seed % 2 == 1 ? seed : 0;
     if (pseed != 0)
-        ++stats.parallel_replays;
+        ++stats.compiled_replays;
     const Replay strict =
         replayTrace(trace, ModelConfig::strict(), EngineMutant::None,
                     pseed);
@@ -266,8 +288,8 @@ TEST(DifferentialFuzz, RandomPrograms)
     }
     std::cout << "fuzz: " << stats.programs << " programs ("
               << stats.strand_free << " strand-free, "
-              << stats.parallel_replays
-              << " via segment-parallel replay), " << stats.events
+              << stats.compiled_replays
+              << " via compiled replay), " << stats.events
               << " events, " << stats.persists << " persists, "
               << stats.cuts_checked << " cuts checked ("
               << stats.cut_budget_skips << " enumerations hit the "
@@ -283,7 +305,7 @@ TEST(DifferentialFuzz, RandomPrograms)
  * flushed line may be re-dirtied later without a covering flush, so
  * the final image may lag simulated memory. What must still hold:
  *
- *  - serial and segment-parallel Px86 replay are bit-identical
+ *  - interpreted and compiled Px86 replay are bit-identical
  *    (asserted inside replayTrace, including the flush/fence/
  *    unflushed counters);
  *  - the Px86 persist log passes verifyLogConsistency;
@@ -324,7 +346,7 @@ TEST(DifferentialFuzz, Px86FlushPrograms)
 
         const std::uint64_t pseed = seed % 2 == 1 ? seed : 0;
         if (pseed != 0)
-            ++stats.parallel_replays;
+            ++stats.compiled_replays;
         const Replay px86 = replayTrace(trace, ModelConfig::px86(),
                                         EngineMutant::None, pseed);
         const Replay strict = replayTrace(trace, ModelConfig::strict());
@@ -356,8 +378,8 @@ TEST(DifferentialFuzz, Px86FlushPrograms)
     EXPECT_GT(unflushed, 0U);
     EXPECT_GT(flushes, 0U);
     std::cout << "fuzz(px86): " << stats.programs << " programs ("
-              << stats.parallel_replays
-              << " via segment-parallel replay), " << stats.events
+              << stats.compiled_replays
+              << " via compiled replay), " << stats.events
               << " events, " << stats.persists << " persists, "
               << unflushed << " unflushed, " << flushes
               << " flushes, " << stats.cuts_checked
@@ -371,7 +393,7 @@ TEST(DifferentialFuzz, Px86FlushPrograms)
  * truth. Rule 1 (UnorderedPersist) independently re-derives the
  * engine's detect_races analysis from the plugin hook stream alone,
  * so plugin count == TimingResult::races must hold EXACTLY on every
- * (program, model) pair — serial and segment-parallel replay alike.
+ * (program, model) pair — interpreted and compiled replay alike.
  * The flush-enabled px86 corpus must additionally produce DirtyRead
  * reports (rule 2 has teeth on random flush programs), and the
  * combined corpus must produce unordered races at all (rule 1 is not
@@ -416,11 +438,8 @@ TEST(DifferentialFuzz, PersistRaceDetectorAgreesWithEngine)
 
                 TimingResult result;
                 if (seed % 2 == 1) {
-                    SegmentReplayOptions sopts;
-                    sopts.jobs =
-                        2 + static_cast<std::uint32_t>(seed % 3);
-                    sopts.segment_events = 16 + seed % 113;
-                    result = segmentReplay(trace, config, sopts, nullptr);
+                    result =
+                        compiledReplayFor(trace, config, seed, nullptr);
                 } else {
                     PersistTimingEngine engine(config);
                     trace.replay(engine);

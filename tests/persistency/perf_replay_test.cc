@@ -31,7 +31,6 @@
 #include "bench_util/bench_report.hh"
 #include "bench_util/synthetic_trace.hh"
 #include "persistency/compiled_replay.hh"
-#include "persistency/segment_replay.hh"
 #include "persistency/timing_engine.hh"
 
 using namespace persim;
@@ -225,20 +224,19 @@ TEST(PerfReplay, CompiledThroughputHoldsBaseline)
 
 namespace {
 
-/** Best-of-5 segment-parallel replay at @p jobs workers. */
+/** Best-of-5 compileTrace at @p jobs workers. */
 double
-bestSegmentReplaySeconds(const InMemoryTrace &trace,
-                         const TimingConfig &config, std::uint32_t jobs)
+bestCompileSeconds(const InMemoryTrace &trace, const TimingConfig &config,
+                   std::uint32_t jobs)
 {
     constexpr int reps = 5;
     double best = 0.0;
     TaskPool pool(jobs);
     for (int rep = 0; rep < reps; ++rep) {
-        SegmentReplayOptions options;
-        options.jobs = jobs;
-        options.pool = &pool;
         bench::Stopwatch watch;
-        (void)segmentReplay(trace, config, options);
+        const CompiledTrace compiled =
+            compileTrace(trace.events().data(), trace.events().size(),
+                         config, jobs, jobs > 1 ? &pool : nullptr);
         const double wall = watch.seconds();
         if (rep == 0 || wall < best)
             best = wall;
@@ -249,29 +247,19 @@ bestSegmentReplaySeconds(const InMemoryTrace &trace,
 } // namespace
 
 /**
- * Scaling gate for intra-trace parallel replay. The parallel section
- * is the segment prep (decode/split/scope-filter/intern) plus the
- * deferred log materialization; the stitch — the timing math itself —
- * stays serial to keep results bit-identical, so the achievable
- * speedup is Amdahl-bounded by the stitch share of serial cost. On
- * the default store-heavy mix the stitch is 35-50% of serial and the
- * ceiling is ~1.2-1.9x whatever the core count (see EXPERIMENTS.md
- * for the measured decomposition) — no honest gate fits there. The
- * gate therefore runs the regime the parallel path exists for:
- * a volatile-dominant (80%) trace under the scope-filtered BPFS
- * model, where the prep decodes and discards most of the stream in
- * parallel, the stitch is ~20% of serial, and the measured ceiling
- * is ~2.5x at j=4 / ~3.3x at j=8. Floors:
- *
- *  - j=4 must beat serial by >=2.0x (needs >=4 hardware threads);
- *  - j=8 must beat serial by >=2.5x (needs >=8 hardware threads).
- *
- * A real regression — a serialized prep, a broken pool, a stitch
- * that re-does decode work — lands at 1x or below, far under either
- * floor. Skips below 4 hardware threads, where the prep cannot fan
- * out wide enough for any floor to be meaningful.
+ * Scaling gate for the compiler's parallel prep. compileTrace splits
+ * the trace into segments that decode, split, scope-filter and
+ * intern in parallel, then renumbers slots and appends columns
+ * serially. The gate runs a volatile-dominant (80%) trace under the
+ * scope-filtered BPFS model, where the prep decodes and discards most
+ * of the stream, so a parallel compile has the most to win: j=4 must
+ * beat j=1 by >=2.0x. Until the slot renumber is parallel too, the
+ * serial tail caps the speedup well below that floor, so this gate
+ * is expected to fail on 4-thread hosts (see ROADMAP.md). Skips below
+ * 4 hardware threads, where the prep cannot fan out wide enough for
+ * the floor to be meaningful.
  */
-TEST(PerfReplay, ParallelReplayScalingGate)
+TEST(PerfReplay, CompileScalingGate)
 {
     const unsigned hw = std::thread::hardware_concurrency();
     if (hw < 4)
@@ -283,24 +271,11 @@ TEST(PerfReplay, ParallelReplayScalingGate)
     TimingConfig config;
     config.model = ModelConfig::bpfs();
 
-    const double serial = bestReplaySeconds(trace, config.model);
-    const double j4 = bestSegmentReplaySeconds(trace, config, 4);
-    std::cout << "parallel replay j4: serial " << serial
-              << " s, parallel " << j4 << " s, speedup " << serial / j4
-              << "x\n";
-    EXPECT_GE(serial / j4, 2.0)
-        << "segment-parallel replay at j=4 regressed below the 2x "
-        << "floor on this machine";
-
-    if (hw < 8) {
-        std::cout << "j8 leg skipped: " << hw
-                  << " hardware threads\n";
-        return;
-    }
-    const double j8 = bestSegmentReplaySeconds(trace, config, 8);
-    std::cout << "parallel replay j8: parallel " << j8 << " s, speedup "
-              << serial / j8 << "x\n";
-    EXPECT_GE(serial / j8, 2.5)
-        << "segment-parallel replay at j=8 regressed below the 2.5x "
-        << "floor on this machine";
+    const double j1 = bestCompileSeconds(trace, config, 1);
+    const double j4 = bestCompileSeconds(trace, config, 4);
+    std::cout << "compile j1 " << j1 << " s, j4 " << j4
+              << " s, speedup " << j1 / j4 << "x\n";
+    EXPECT_GE(j1 / j4, 2.0)
+        << "compileTrace at j=4 is below the 2x floor over j=1 on "
+        << "this machine";
 }

@@ -8,7 +8,7 @@
  * TimingResult::races — on hand litmus traces, on every golden
  * fixture under every frozen config (the zero-false-positive pin:
  * the engine's count is ground truth, so equality means no invented
- * races), and under serial vs segment (--jobs) replay. The DirtyRead
+ * races), and under interpreted vs compiled replay. The DirtyRead
  * rule is px86-only and pinned directly on hand traces.
  */
 
@@ -18,8 +18,9 @@
 #include <gtest/gtest.h>
 
 #include "memtrace/trace_io.hh"
+#include "common/task_pool.hh"
+#include "persistency/compiled_replay.hh"
 #include "persistency/persist_race.hh"
-#include "persistency/segment_replay.hh"
 #include "persistency/timing_engine.hh"
 #include "tests/persistency/golden_support.hh"
 #include "tests/support/trace_builder.hh"
@@ -282,10 +283,12 @@ TEST(PersistRace, NoFalsePositivesOnCleanFixtures)
 }
 
 // Hook-stream identity: the detector must see the same event stream
-// (and so produce identical counts) under serial and segment replay,
-// for every fixture and a racy hand trace, across jobs values.
-TEST(PersistRace, SerialAndSegmentReplayAgree)
+// (and so produce identical counts) under interpreted replay and
+// compile -> execute (the generic executor, which runs plugins), for
+// every fixture, across jobs values.
+TEST(PersistRace, SerialAndCompiledReplayAgree)
 {
+    TaskPool pool(3);
     for (const std::string &name : goldenFixtureNames()) {
         const InMemoryTrace trace =
             readTraceFile(goldenDir() + "/" + name + ".trc");
@@ -299,17 +302,20 @@ TEST(PersistRace, SerialAndSegmentReplayAgree)
             PersistTimingEngine engine(config);
             trace.replay(engine);
 
-            for (std::uint32_t jobs : {2u, 7u}) {
-                PersistRaceDetector segmented;
-                config.plugins.assign(1, &segmented);
-                SegmentReplayOptions options;
+            for (std::uint32_t jobs : {1u, 3u}) {
+                PersistRaceDetector compiled;
+                config.plugins.assign(1, &compiled);
+                CompiledReplayOptions options;
                 options.jobs = jobs;
-                options.segment_events = 64;
-                segmentReplay(trace, config, options);
-                EXPECT_EQ(segmented.unorderedPersists(),
+                options.pool = &pool;
+                const CompiledTrace artifact = compileTrace(
+                    trace.events().data(), trace.events().size(),
+                    config, jobs, &pool);
+                compiledReplay(artifact.view(), config, options);
+                EXPECT_EQ(compiled.unorderedPersists(),
                           serial.unorderedPersists())
                     << name << "/" << model.name() << " jobs=" << jobs;
-                EXPECT_EQ(segmented.dirtyReads(), serial.dirtyReads())
+                EXPECT_EQ(compiled.dirtyReads(), serial.dirtyReads())
                     << name << "/" << model.name() << " jobs=" << jobs;
             }
         }

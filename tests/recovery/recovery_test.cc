@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "bench_util/queue_workload.hh"
 #include "queue/payload.hh"
@@ -296,6 +297,18 @@ struct QueueInjectionCase
     const char *name;
 };
 
+/**
+ * Print a case as its name. gtest would otherwise print the raw
+ * bytes, name pointer and struct padding included, and those bytes
+ * become part of every discovered ctest name, changing from build to
+ * build.
+ */
+void
+PrintTo(const QueueInjectionCase &param, std::ostream *os)
+{
+    *os << param.name;
+}
+
 class QueueInjection
     : public ::testing::TestWithParam<QueueInjectionCase>
 {
@@ -326,10 +339,6 @@ TEST_P(QueueInjection, AnnotationsSufficeForRecovery)
         << param.name << ": " << result.first_violation;
 }
 
-// gtest names each case after the raw bytes of its parameter, padding
-// included. A static array is zero-initialized before its values are
-// set, so the padding bytes (and hence the test names) do not depend
-// on whatever the stack held during static initialization.
 const QueueInjectionCase kQueueInjectionCases[] = {
     {QueueKind::CopyWhileLocked, AnnotationVariant::Conservative,
      ModelConfig::strict(), "cwl_strict"},
